@@ -10,7 +10,6 @@ over Fractions, and quadratic surds.  No floating point.
 
 from .algebra import (
     INF,
-    ExtRat,
     Infinity,
     Poly,
     QuadSurd,
@@ -20,11 +19,7 @@ from .algebra import (
     is_inf,
     parse_factored,
     parse_poly,
-    poly_divmod,
-    poly_eval,
     poly_gcd,
-    poly_mul,
-    poly_shift,
     rational_roots,
     sqrt_fraction,
 )
@@ -54,7 +49,6 @@ from .mobius import (
     constant_cf_limit,
     convergents,
     convergents_from_terms,
-    mobius_apply,
     product_apply,
 )
 from .euler import (
@@ -68,14 +62,12 @@ from .euler import (
     trivial_triple,
 )
 from .identify import (
-    BetaTriple,
     IdentifyReport,
     Rejection,
     candidate_degrees,
     identify,
     leading_coeff_split,
     solve_f,
-    three_term_degree_analysis,
 )
 from .limits import (
     BetaForm,
@@ -108,4 +100,31 @@ from .matforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # algebra
+    "INF", "Infinity", "Poly", "QuadSurd", "Rat", "RatFunc", "factor_integer_rooted",
+    "is_inf", "parse_factored", "parse_poly", "poly_gcd", "rational_roots",
+    "sqrt_fraction",
+    # errors
+    "DegenerateTerm", "InvalidInput", "NonTelescoping", "NotDivisible", "OrbitPole",
+    "PoleInFormula", "PolycfError", "PolyParseError", "PreconditionViolated",
+    "SingularMatrix", "ZeroCEntry", "ZeroDiagonal", "ZeroF", "ZeroScaler",
+    # mobius
+    "CFLimit", "CFSpec", "ConvergentState", "Mat2", "cf_step_matrix", "cf_value",
+    "constant_cf_limit", "convergents", "convergents_from_terms", "product_apply",
+    # euler
+    "EulerTriple", "build_euler_cf", "equivalence_transform", "euler_partial_value",
+    "euler_sum", "euler_sum_to_cf", "solve_c_recurrence", "trivial_triple",
+    # identify
+    "IdentifyReport", "Rejection", "candidate_degrees", "identify",
+    "leading_coeff_split", "solve_f",
+    # limits
+    "BetaForm", "ClosedForm", "LimitEstimate", "ZetaCombo", "beta_degree1",
+    "cf_limit_from_zeta", "dominant_limit", "numeric_limit", "telescoped_summand",
+    "telescoping_zeta_sum",
+    # matforms
+    "EigenSeq", "PolyMat2", "cf_form_states", "coboundary_check", "eigen_check",
+    "euler_cf_matrix", "euler_left_eigen", "euler_right_eigen", "rederive_euler_sum",
+    "to_cf_form", "to_integral_cf_form", "triangular_product",
+    "triangular_product_at_zero", "triangularize",
+]

@@ -61,9 +61,6 @@ class Infinity:
 
 INF = Infinity()
 
-# ExtRat values are either Fraction or INF.
-ExtRat = "Fraction | Infinity"
-
 
 def is_inf(v) -> bool:
     return isinstance(v, Infinity)
@@ -237,9 +234,12 @@ class QuadSurd:
         """Rational approximation within 10**-digits, via integer isqrt."""
         if self.v == 0:
             return self.u
+        # the isqrt of the integer part of v^2 d scale^2 is floor(|v| sqrt(d)
+        # scale), so the error stays below 1/scale whatever the size of v
         scale = 10 ** (digits + 6)
-        root = Fraction(math.isqrt(self.d * scale * scale), scale)
-        return self.u + self.v * root
+        v = abs(self.v)
+        root = math.isqrt(v.numerator**2 * self.d * scale**2 // v.denominator**2)
+        return self.u + (1 if self.v > 0 else -1) * Fraction(root, scale)
 
     def _coerce(self, other):
         if isinstance(other, QuadSurd):
@@ -547,22 +547,6 @@ class Poly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
-
-
-def poly_eval(p: Poly, v):
-    return p(v)
-
-
-def poly_shift(p: Poly, k) -> Poly:
-    return p.shift(k)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_divmod(p: Poly, q: Poly):
-    return divmod(p, q)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

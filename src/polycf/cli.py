@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help='pre-factored form of b, e.g. "-(n)^3*(n+1)^3"',
     )
-    idf.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
 
     lim = sub.add_parser("limit", help="estimate or solve the CF limit")
     lim.add_argument("--a", type=_poly_arg, required=True)
@@ -173,7 +172,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    report = identify(args.a, args.b, factored=args.b_factored, jobs=args.jobs)
+    report = identify(args.a, args.b, factored=args.b_factored)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

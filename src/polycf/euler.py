@@ -20,9 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, rat
-from .errors import DegenerateTerm, NotDivisible, OrbitPole, PoleInFormula, ZeroScaler
-from .mobius import CFSpec
+from .algebra import INF, Poly, rat, rational_roots
+from .errors import (
+    DegenerateTerm,
+    InvalidInput,
+    NotDivisible,
+    OrbitPole,
+    PoleInFormula,
+    ZeroScaler,
+)
+from .mobius import CFSpec, _term
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,11 @@ def build_euler_cf(t: EulerTriple) -> tuple[Poly, Poly]:
 
 def euler_sum(r, n: int) -> Fraction:
     """Partial sum sum_{k=0}^{n} prod_{i=1}^{k} r(i), evaluated directly."""
+    _check_length(r, n, "r")
     total = Fraction(1)
     prod = Fraction(1)
     for k in range(1, n + 1):
-        prod *= _at(r, k, k - 1)
+        prod *= _term(r, k - 1, k)
         total += prod
     return total
 
@@ -90,9 +98,10 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
     if isinstance(r, (list, tuple)) and length is None:
         length = len(r)
     if length is not None:
+        _check_length(r, length, "r")
         bs, as_ = [], []
         for i in range(1, length + 1):
-            ri = _at(r, i, i - 1)
+            ri = _term(r, i - 1, i)
             if ri == -1:
                 raise DegenerateTerm(i)
             bs.append(-ri)
@@ -100,26 +109,21 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
         return CFSpec(b=bs, a=as_)
 
     def b_of(i: int) -> Fraction:
-        ri = _at(r, i, i - 1)
+        ri = _term(r, i - 1, i)
         if ri == -1:
             raise DegenerateTerm(i)
         return -ri
 
     def a_of(i: int) -> Fraction:
-        return 1 + _at(r, i, i - 1)
+        return 1 + _term(r, i - 1, i)
 
     return CFSpec(b=b_of, a=a_of)
 
 
-def _at(seq, i: int, pos: int) -> Fraction:
-    """Coefficient access: Polys/callables by index i, sequences by position."""
-    if isinstance(seq, Poly):
-        return seq(Fraction(i))
-    if isinstance(seq, (list, tuple)):
-        return rat(seq[pos])
-    if callable(seq):
-        return rat(seq(i))
-    raise TypeError(f"cannot read a coefficient sequence from {type(seq).__name__}")
+def _check_length(seq, count: int, name: str) -> None:
+    """Raise InvalidInput when an explicit sequence holds fewer than count terms."""
+    if isinstance(seq, (list, tuple)) and len(seq) < count:
+        raise InvalidInput(f"{name} has {len(seq)} terms, needed {count}")
 
 
 def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
@@ -138,7 +142,8 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
     required and explicit lists for indices 1..n are returned.  The third
     element of the result is the front scale 1/c(0).
 
-    Raises ZeroScaler when some needed c(i) is zero.
+    Raises ZeroScaler when some needed c(i) is zero, and InvalidInput when
+    an explicit sequence holds fewer terms than n asks for.
     """
     if n is None:
         if not (isinstance(b, Poly) and isinstance(a, Poly) and isinstance(c, Poly)):
@@ -146,19 +151,25 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
         c0 = c(Fraction(0))
         if c0 == 0:
             raise ZeroScaler("c(0) = 0")
+        for root in rational_roots(c):
+            if root.denominator == 1 and root > 0:
+                raise ZeroScaler(f"c({root}) = 0")
         b2 = c.shift(-1) * c * b.shift(shift)
         a2 = c * a.shift(shift)
         return b2, a2, 1 / c0
+    _check_length(c, n + 1, "c")
+    _check_length(b, n, "b")
+    _check_length(a, n, "a")
     c_vals = []
     for j in range(0, n + 1):
-        cj = _at(c, j, j)
+        cj = _term(c, j, j)
         if cj == 0:
             raise ZeroScaler(f"c({j}) = 0")
         c_vals.append(cj)
     bs, as_ = [], []
     for j in range(1, n + 1):
-        bj = _at(b, j + shift, j - 1)
-        aj = _at(a, j + shift, j - 1)
+        bj = _term(b, j - 1, j + shift)
+        aj = _term(a, j - 1, j + shift)
         bs.append(c_vals[j - 1] * c_vals[j] * bj)
         as_.append(c_vals[j] * aj)
     return bs, as_, 1 / c_vals[0]
@@ -205,9 +216,11 @@ def solve_c_recurrence(b, a, c0, n: int) -> list[Fraction]:
     c(i) a(i) + c(i-1) c(i) b(i) = 1.  Raises OrbitPole on a zero
     denominator.
     """
+    _check_length(a, n, "a")
+    _check_length(b, n, "b")
     orbit = [rat(c0)]
     for i in range(1, n + 1):
-        den = _at(a, i, i - 1) + orbit[-1] * _at(b, i, i - 1)
+        den = _term(a, i - 1, i) + orbit[-1] * _term(b, i - 1, i)
         if den == 0:
             raise OrbitPole(f"a({i}) + c({i - 1}) b({i}) = 0")
         orbit.append(1 / den)

@@ -11,16 +11,15 @@ leading coefficients of a and b, bounds deg f by a three-term degree
 analysis, and then solves an exact linear system for f.  Everything is exact;
 every returned triple is re-verified against (a, b) before it is reported.
 
-Two independent routes produce the candidate degrees of f: the generic
-recurrence analysis (:func:`three_term_degree_analysis`) and the per-case
-closed formulas (:func:`candidate_degrees`).  They must agree; the tests
-cross-check them against each other.
+The candidate degrees of f come from per-case closed formulas
+(:func:`candidate_degrees`).  The test suite checks them against an
+independent oracle, the generic recurrence analysis in
+``tests/_reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,63 +36,6 @@ REASON_PATTERN = "degree pattern inadmissible"
 REASON_IRRATIONAL = "irrational leading split"
 REASON_NO_DEGREE = "no admissible f degree"
 REASON_NO_F = "no f solution at admissible degrees"
-
-
-@dataclass(frozen=True)
-class BetaTriple:
-    """Coefficients of the three-term recurrence
-    f(x+1) beta1(x) + f(x) beta0(x) + f(x-1) betam1(x) = 0."""
-
-    betam1: Poly
-    beta0: Poly
-    beta1: Poly
-
-    @classmethod
-    def from_cf(cls, a: Poly, h1: Poly, h2: Poly) -> "BetaTriple":
-        """Encode f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1) in recurrence form."""
-        return cls(betam1=h1, beta0=-a, beta1=h2.shift(1))
-
-
-def three_term_degree_analysis(bt: BetaTriple) -> set[int]:
-    """Possible degrees of a polynomial solution f of the recurrence.
-
-    Writing d for the max degree of the three coefficients and b_j^(k) for
-    the x^k coefficient of beta_j (zero when out of range):
-
-    * a solution forces b_-1^(d) + b_0^(d) + b_1^(d) = 0;
-    * if b_-1^(d) != b_1^(d), the degree is pinned to a single ratio;
-    * otherwise the degree satisfies an explicit quadratic.
-
-    Only nonnegative integer degrees are kept.
-    """
-    polys = (bt.betam1, bt.beta0, bt.beta1)
-    degs = [p.degree for p in polys if not p.is_zero]
-    if not degs:
-        raise ValueError("all three recurrence coefficients are zero")
-    d = max(degs)
-    cm1, c0, c1 = (p.coeff(d) for p in polys)
-    if cm1 + c0 + c1 != 0:
-        return set()
-    out: set[int] = set()
-    if cm1 != c1:
-        s1 = sum(p.coeff(d - 1) for p in polys)
-        df = s1 / (cm1 - c1)
-        if df.denominator == 1 and df >= 0:
-            out.add(int(df))
-        return out
-    # cm1 == c1 (both nonzero: a zero would force all three to vanish at d)
-    s2 = cm1 + c1
-    qa = s2 / 2
-    qb = (polys[2].coeff(d - 1) - polys[0].coeff(d - 1)) - s2 / 2
-    qc = sum(p.coeff(d - 2) for p in polys)
-    disc = qb * qb - 4 * qa * qc
-    sq = rational_sqrt(disc)
-    if sq is None:
-        return set()
-    for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
-        if root.denominator == 1 and root >= 0:
-            out.add(int(root))
-    return out
 
 
 def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
@@ -331,7 +273,7 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
     return sols, rejs
 
 
-def identify(a: Poly, b: Poly, factored=None, jobs: int = 1) -> IdentifyReport:
+def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     """Search for Euler triples (h1, h2, f) with b = -h1 h2 and
     f a = f(x-1) h1 + f(x+1) h2(x+1).
 
@@ -344,9 +286,6 @@ def identify(a: Poly, b: Poly, factored=None, jobs: int = 1) -> IdentifyReport:
     reasons, and whether the enumeration was exhaustive (true only when the
     factor base splits b into linear blocks, so every decomposition really
     was visited).
-
-    ``jobs`` > 1 examines decompositions in a thread pool; the report is
-    merged in enumeration order either way, so output is deterministic.
     """
     if a.is_zero or b.is_zero:
         raise InvalidInput("a and b must be nonzero")
@@ -379,15 +318,10 @@ def identify(a: Poly, b: Poly, factored=None, jobs: int = 1) -> IdentifyReport:
         decomps.append((h1m, h2m))
     decomps.sort(key=lambda pair: (_poly_key(pair[0]), _poly_key(pair[1])))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda d: _examine(a, b, *d), decomps))
-    else:
-        results = [_examine(a, b, h1m, h2m) for h1m, h2m in decomps]
-
     report = IdentifyReport(exhaustive=exhaustive)
     seen = set()
-    for sols, rejs in results:
+    for h1m, h2m in decomps:
+        sols, rejs = _examine(a, b, h1m, h2m)
         for t in sols:
             key = (t.h1.coeffs, t.h2.coeffs, t.f.coeffs)
             if key not in seen:

@@ -100,10 +100,6 @@ class Mat2:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-def mobius_apply(m: Mat2, z):
-    return m.apply(z)
-
-
 def cf_step_matrix(b, a) -> Mat2:
     """The step matrix (0, b; 1, a) of one CF term."""
     return Mat2(0, b, 1, a)
@@ -115,6 +111,7 @@ def cf_step_matrix(b, a) -> Mat2:
 
 # A coefficient sequence is a Poly (evaluated at the index), an explicit
 # sequence (index 1 maps to position 0 after the start offset), or a callable.
+# _term is the one reader of such sequences, here and in polycf.euler.
 
 
 def _term(seq, pos: int, i: int):

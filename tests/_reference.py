@@ -1,4 +1,4 @@
-"""Independent reference constants for the test suite.
+"""Independent reference constants and oracles for the test suite.
 
 Everything here is computed with exact Fraction arithmetic from classical
 series that have nothing to do with the code under test: e from its
@@ -6,10 +6,17 @@ factorial series, pi from Machin's arctangent formula, zeta from a scaled
 prefix sum plus an Euler-Maclaurin tail.  Accuracy bounds are stated per
 constant; test_reference.py pins 20-digit decimal prefixes so a regression
 here fails loudly rather than silently weakening every numeric comparison.
+
+The generic three-term degree analysis at the end is the oracle for
+polycf.identify.candidate_degrees: it derives the degree of f from the
+recurrence form rather than from the per-case formulas.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from polycf.algebra import Poly, rational_sqrt
 
 
 @lru_cache(maxsize=None)
@@ -77,3 +84,60 @@ def decimal_prefix(q: Fraction, digits: int) -> str:
     whole, rem = divmod(n, d)
     frac = rem * 10**digits // d
     return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+@dataclass(frozen=True)
+class BetaTriple:
+    """Coefficients of the three-term recurrence
+    f(x+1) beta1(x) + f(x) beta0(x) + f(x-1) betam1(x) = 0."""
+
+    betam1: Poly
+    beta0: Poly
+    beta1: Poly
+
+    @classmethod
+    def from_cf(cls, a: Poly, h1: Poly, h2: Poly) -> "BetaTriple":
+        """Encode f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1) in recurrence form."""
+        return cls(betam1=h1, beta0=-a, beta1=h2.shift(1))
+
+
+def three_term_degree_analysis(bt: BetaTriple) -> set[int]:
+    """Possible degrees of a polynomial solution f of the recurrence.
+
+    Writing d for the max degree of the three coefficients and b_j^(k) for
+    the x^k coefficient of beta_j (zero when out of range):
+
+    * a solution forces b_-1^(d) + b_0^(d) + b_1^(d) = 0;
+    * if b_-1^(d) != b_1^(d), the degree is pinned to a single ratio;
+    * otherwise the degree satisfies an explicit quadratic.
+
+    Only nonnegative integer degrees are kept.
+    """
+    polys = (bt.betam1, bt.beta0, bt.beta1)
+    degs = [p.degree for p in polys if not p.is_zero]
+    if not degs:
+        raise ValueError("all three recurrence coefficients are zero")
+    d = max(degs)
+    cm1, c0, c1 = (p.coeff(d) for p in polys)
+    if cm1 + c0 + c1 != 0:
+        return set()
+    out: set[int] = set()
+    if cm1 != c1:
+        s1 = sum(p.coeff(d - 1) for p in polys)
+        df = s1 / (cm1 - c1)
+        if df.denominator == 1 and df >= 0:
+            out.add(int(df))
+        return out
+    # cm1 == c1 (both nonzero: a zero would force all three to vanish at d)
+    s2 = cm1 + c1
+    qa = s2 / 2
+    qb = (polys[2].coeff(d - 1) - polys[0].coeff(d - 1)) - s2 / 2
+    qc = sum(p.coeff(d - 2) for p in polys)
+    disc = qb * qb - 4 * qa * qc
+    sq = rational_sqrt(disc)
+    if sq is None:
+        return set()
+    for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
+        if root.denominator == 1 and root >= 0:
+            out.add(int(root))
+    return out

@@ -166,6 +166,14 @@ def test_quad_surd_approx_matches_isqrt():
     assert abs(s - ref) < F(1, 10**30)
 
 
+def test_quad_surd_approx_error_does_not_grow_with_v():
+    v = 10**15
+    s = QuadSurd(0, v, 2).approx(5)
+    # within 1e-5 below v*sqrt(2) = sqrt(2 v^2), checked by squaring
+    assert s * s < 2 * v * v < (s + F(1, 10**5)) ** 2
+    assert QuadSurd(0, -v, 2).approx(5) == -s
+
+
 def test_sqrt_fraction_oracle():
     assert sqrt_fraction(F(9, 4)) == QuadSurd(F(3, 2))
     s = sqrt_fraction(F(8, 9))

@@ -108,7 +108,14 @@ def test_identify_output_is_deterministic():
     first = run_cli(*argv)
     second = run_cli(*argv)
     assert first.stdout == second.stdout
-    assert first.stdout == run_cli(*argv, "--jobs", "4").stdout
+
+
+def test_identify_rejects_jobs_flag():
+    # identify has no --jobs option, so the flag is a parse error
+    r = run_cli("identify", "--a", "2n+1", "--b=-n^2", "--jobs", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --jobs 2" in r.stderr
 
 
 def test_identify_negative_b_as_separate_token():
@@ -139,6 +146,18 @@ def test_limit_constant_cf_classifier():
     osc = run_cli("limit", "--a", "0", "--b", "1")
     assert osc.returncode == 0
     assert osc.stdout == "diverges_oscillates\n"
+
+
+def test_limit_constant_digits_with_large_coefficients():
+    # root = 10^15 (sqrt(5) - 1)/2: the sqrt(5) coefficient is 5*10^14, so an
+    # approximation error that grows with it would show in the printed digits
+    r = run_cli("limit", "--a", str(10**15), "--b", str(10**30), "--digits", "8")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "converges\n"
+        "root: -500000000000000 + 500000000000000*sqrt(5)\n"
+        "618033988749894.84820458\n"
+    )
 
 
 def test_limit_estimate_transcript():
@@ -252,10 +271,8 @@ def test_no_subcommand_is_a_usage_error():
 
 
 def test_normalize_argv_folds_value_flags():
-    argv = ["identify", "--a", "2n+1", "--b", "-n^2", "--jobs", "2"]
-    assert _normalize_argv(argv) == [
-        "identify", "--a=2n+1", "--b=-n^2", "--jobs", "2"
-    ]
+    argv = ["identify", "--a", "2n+1", "--b", "-n^2"]
+    assert _normalize_argv(argv) == ["identify", "--a=2n+1", "--b=-n^2"]
     # Already folded forms and non-value flags pass through untouched.
     assert _normalize_argv(["eval", "--a=n", "--reduced"]) == ["eval", "--a=n", "--reduced"]
     assert _normalize_argv(["eval", "--b"]) == ["eval", "--b"]

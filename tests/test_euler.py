@@ -10,6 +10,7 @@ from polycf import (
     CFSpec,
     DegenerateTerm,
     EulerTriple,
+    InvalidInput,
     NotDivisible,
     OrbitPole,
     Poly,
@@ -129,8 +130,21 @@ def test_equivalence_polynomial_invariance():
 def test_equivalence_zero_scaler():
     with pytest.raises(ZeroScaler):
         equivalence_transform(X, X + 1, X)  # c(0) = 0
+    with pytest.raises(ZeroScaler, match=r"c\(2\) = 0"):
+        equivalence_transform(X, X + 1, 2 - X)  # c(0) = 2, but c(2) = 0
     with pytest.raises(ZeroScaler):
         equivalence_transform([1, 1], [1, 1], [1, 0, 1], n=2)
+
+
+def test_short_explicit_sequences_are_invalid_input():
+    with pytest.raises(InvalidInput, match="r has 2 terms, needed 3"):
+        euler_sum([1, 2], 3)
+    with pytest.raises(InvalidInput):
+        euler_sum_to_cf([1, 2], length=3)
+    with pytest.raises(InvalidInput, match="c has 2 terms, needed 3"):
+        equivalence_transform([1, 1], [1, 1], [1, 1], n=2)
+    with pytest.raises(InvalidInput):
+        solve_c_recurrence([1, 1], [1], 1, 2)
 
 
 def test_equivalence_sequence_mode_matches_poly_mode():

@@ -4,8 +4,8 @@ Oracle cases are worked by hand from the defining relation
 
     f(x) a(x) = f(x-1) h1(x) + f(x+1) h2(x+1)
 
-and the search must rediscover them, label every decomposition it gives up
-on, and stay deterministic under a thread pool.
+and the search must rediscover them and label every decomposition it gives
+up on.
 """
 
 import json
@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polycf import (
-    BetaTriple,
     EulerTriple,
     InvalidInput,
     Poly,
@@ -27,7 +26,6 @@ from polycf import (
     parse_factored,
     parse_poly,
     solve_f,
-    three_term_degree_analysis,
     trivial_triple,
 )
 from polycf.identify import (
@@ -36,6 +34,8 @@ from polycf.identify import (
     REASON_NO_F,
     REASON_PATTERN,
 )
+
+from _reference import BetaTriple, three_term_degree_analysis
 
 X = Poly.x()
 ONE = Poly.one()
@@ -225,7 +225,7 @@ def test_search_recovers_constructed_triples(t):
 
 
 # ---------------------------------------------------------------------------
-# hints, parallelism, report shape
+# hints, report shape
 # ---------------------------------------------------------------------------
 
 
@@ -253,14 +253,6 @@ def test_atomic_hint_block_narrows_the_search():
     assert [r.reason for r in hinted.rejections] == [REASON_PATTERN] * 2
     # the same input splits fine when the factoring is left to the search
     assert len(identify(a, b).solutions) >= 3
-
-
-def test_thread_pool_is_deterministic():
-    a = parse_poly("2n^3+3n^2+11n+5")
-    b = parse_poly("-n^6")
-    single = identify(a, b, jobs=1).to_dict()
-    for jobs in (2, 4):
-        assert identify(a, b, jobs=jobs).to_dict() == single
 
 
 def test_report_dict_shape():

@@ -21,7 +21,6 @@ from polycf import (
     convergents,
     convergents_from_terms,
     is_inf,
-    mobius_apply,
     parse_poly,
     product_apply,
     INF,
@@ -71,7 +70,7 @@ def test_mobius_cases():
     assert m.apply(Fraction(-4, 3)) is INF  # cz + d = 0
     assert m.apply(INF) == Fraction(1, 3)  # a/c
     assert Mat2(1, 2, 0, 4).apply(INF) is INF  # c = 0
-    assert mobius_apply(Mat2(5, 0, 0, 5), Fraction(9, 7)) == Fraction(9, 7)
+    assert Mat2(5, 0, 0, 5).apply(Fraction(9, 7)) == Fraction(9, 7)  # scalar
     assert Mat2(0, 1, 1, 0).apply(Fraction(0)) is INF
 
 
