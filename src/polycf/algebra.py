@@ -782,16 +782,9 @@ def _divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def rational_roots(p: Poly) -> dict[Fraction, int]:
-    """All rational roots of p with multiplicities, keys in ascending order.
-
-    >>> rational_roots(Poly([0, -1, 2]))     # 2x^2 - x
-    {Fraction(0, 1): 1, Fraction(1, 2): 1}
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial vanishes everywhere")
-    if p.degree == 0:
-        return {}
+def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
+    """Rational roots of a nonzero p with multiplicities, keys in ascending
+    order, and the monic quotient of p by every (x - r)^m."""
     # clear denominators to an integer polynomial
     den = 1
     for c in p.coeffs:
@@ -802,7 +795,8 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     while ints[0] == 0:
         ints.pop(0)
         zmult += 1
-    found: dict[Fraction, int] = {}
+    found: dict[Fraction, int] = {Fraction(0): zmult} if zmult else {}
+    work = Poly(ints)
     if len(ints) > 1:
         a0, ad = abs(ints[0]), abs(ints[-1])
         cands = set()
@@ -811,24 +805,22 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
                 if math.gcd(num, d) == 1:
                     cands.add(Fraction(num, d))
                     cands.add(Fraction(-num, d))
-        work = Poly(ints)
         for r in sorted(cands):
-            if work(r) == 0:
-                lin = Poly((-r, 1))
-                mult = 0
-                while True:
-                    q, rem = divmod(work, lin)
-                    if not rem.is_zero:
-                        break
-                    work, mult = q, mult + 1
-                found[r] = mult
-    out: dict[Fraction, int] = {}
-    for r in sorted(found) if zmult == 0 else sorted(set(found) | {Fraction(0)}):
-        if r == 0 and zmult:
-            out[Fraction(0)] = zmult
-        else:
-            out[r] = found[r]
-    return out
+            while work(r) == 0:
+                work = work // Poly((-r, 1))
+                found[r] = found.get(r, 0) + 1
+    return dict(sorted(found.items())), work.monic()
+
+
+def rational_roots(p: Poly) -> dict[Fraction, int]:
+    """All rational roots of p with multiplicities, keys in ascending order.
+
+    >>> rational_roots(Poly([0, -1, 2]))     # 2x^2 - x
+    {Fraction(0, 1): 1, Fraction(1, 2): 1}
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial vanishes everywhere")
+    return _root_split(p)[0]
 
 
 def factor_integer_rooted(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Poly]:
@@ -844,15 +836,8 @@ def factor_integer_rooted(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Po
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    content = p.lead
-    work = p.monic()
-    factors: list[tuple[Poly, int]] = []
-    for r, m in rational_roots(p).items():
-        lin = Poly((-r, 1))
-        factors.append((lin, m))
-        for _ in range(m):
-            work = work // lin
-    return content, factors, work
+    roots, residual = _root_split(p)
+    return p.lead, [(Poly((-r, 1)), m) for r, m in roots.items()], residual
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -152,29 +153,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> list[str]:
     cf = CFSpec(b=args.b, a=args.a, head=args.head)
     state = _state_at(cf, args.depth)
     h = args.head
     p, q = state.p, state.q
     num = h.numerator * q + h.denominator * p
     den = h.denominator * q
+    # rational coefficients make p and q Fractions: print an integer pair
+    scale = math.lcm(num.denominator, den.denominator)
+    num, den = int(num * scale), int(den * scale)
     if den == 0:
-        print("inf")
-        return 0
+        return ["inf"]
     if args.reduced:
         v = Fraction(num, den)
         num, den = v.numerator, v.denominator
-    print(f"{num}/{den}")
+    lines = [f"{num}/{den}"]
     if args.digits:
-        print(decimal_string(Fraction(num, den), args.digits))
-    return 0
+        lines.append(decimal_string(Fraction(num, den), args.digits))
+    return lines
 
 
-def _cmd_identify(args) -> int:
+def _cmd_identify(args) -> list[str]:
     report = identify(args.a, args.b, factored=args.b_factored)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0
+    return [json.dumps(report.to_dict(), indent=2)]
 
 
 def _render_closed_form(t: EulerTriple) -> list[str]:
@@ -208,65 +210,66 @@ def _render_closed_form(t: EulerTriple) -> list[str]:
     return lines
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> list[str]:
     if args.a.degree in (0, None) and args.b.degree in (0, None):
         res = constant_cf_limit(args.a.coeff(0), args.b.coeff(0))
-        print(res.kind)
+        lines = [res.kind]
         if res.kind == CFLimit.CONVERGES:
-            print(f"root: {res.root}")
+            lines.append(f"root: {res.root}")
             if args.digits:
-                print(decimal_string(res.root.approx(args.digits + 5), args.digits))
-        return 0
+                lines.append(decimal_string(res.root.approx(args.digits + 5), args.digits))
+        return lines
     est = numeric_limit(CFSpec(b=args.b, a=args.a), args.eps, args.max_depth)
     if est.value is None:
-        print("estimate: none")
+        lines = ["estimate: none"]
     elif is_inf(est.value):
-        print("estimate: inf")
+        lines = ["estimate: inf"]
     elif args.digits:
-        print(f"estimate: {decimal_string(est.value, args.digits)}")
+        lines = [f"estimate: {decimal_string(est.value, args.digits)}"]
     else:
-        print(f"estimate: {est.value}")
+        lines = [f"estimate: {est.value}"]
     if est.last_delta is None:
-        print("delta: none")
+        lines.append("delta: none")
     elif args.digits:
-        print(f"delta: {decimal_string(est.last_delta, args.digits)}")
+        lines.append(f"delta: {decimal_string(est.last_delta, args.digits)}")
     else:
-        print(f"delta: {est.last_delta}")
-    print(f"depth: {est.depth_used}")
-    print(f"verdict: {est.verdict}")
+        lines.append(f"delta: {est.last_delta}")
+    lines.append(f"depth: {est.depth_used}")
+    lines.append(f"verdict: {est.verdict}")
     if args.closed_form:
         report = identify(args.a, args.b)
         if not report.solutions:
-            print("no closed form found (no Euler-family match)")
+            lines.append("no closed form found (no Euler-family match)")
         else:
-            for line in _render_closed_form(report.solutions[0]):
-                print(line)
-    return 0
+            lines.extend(_render_closed_form(report.solutions[0]))
+    return lines
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> list[str]:
     m = PolyMat2(*args.matrix)
     cfm, u, init = to_cf_form(m)
-    print(f"cf form: {cfm}")
-    print(f"coboundary: {u}")
-    print(f"init: [{init.a}, {init.b}; {init.c}, {init.d}]")
-    print(f"integral form: {to_integral_cf_form(m)}")
-    return 0
+    return [
+        f"cf form: {cfm}",
+        f"coboundary: {u}",
+        f"init: [{init.a}, {init.b}; {init.c}, {init.d}]",
+        f"integral form: {to_integral_cf_form(m)}",
+    ]
 
 
-def _cmd_triangularize(args) -> int:
+def _cmd_triangularize(args) -> list[str]:
     h1, h2, n = args.h1, args.h2, args.depth
     t, alpha = triangularize(euler_cf_matrix(h1, h2), euler_left_eigen(h1, h2))
-    print(f"T: {t}")
-    print(f"alpha = {alpha}, lambda = {h2.to_text()}")
     v1 = rederive_euler_sum(h1, h2, n)
     v2 = euler_partial_value(trivial_triple(h1, h2), n - 1)
     s1 = "inf" if is_inf(v1) else str(v1)
     s2 = "inf" if is_inf(v2) else str(v2)
-    print(f"triangular route K_1^{n - 1} = {s1}")
-    print(f"summation formula K_1^{n - 1} = {s2}")
-    print(f"agree: {str(v1 == v2).lower()}")
-    return 0
+    return [
+        f"T: {t}",
+        f"alpha = {alpha}, lambda = {h2.to_text()}",
+        f"triangular route K_1^{n - 1} = {s1}",
+        f"summation formula K_1^{n - 1} = {s2}",
+        f"agree: {str(v1 == v2).lower()}",
+    ]
 
 
 _DISPATCH = {
@@ -282,14 +285,18 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_normalize_argv(list(argv)))
+    # a command builds its whole report before anything is printed, so a
+    # failure part-way leaves stdout empty
     try:
-        return _DISPATCH[args.command](args)
+        lines = _DISPATCH[args.command](args)
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except PolycfError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

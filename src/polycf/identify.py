@@ -11,6 +11,11 @@ leading coefficients of a and b, bounds deg f by a three-term degree
 analysis, and then solves an exact linear system for f.  Everything is exact;
 every returned triple is re-verified against (a, b) before it is reported.
 
+The splits are prefix products: each split (h1, h2) of the blocks so far is
+extended by (p^e, p^(m-e)) for the next block p^m, from one table of powers
+of p.  A linear block takes every e in 0..m, an atomic block (degree >= 2)
+only e in {0, m}; the splits are then sorted by (h1, h2).
+
 The candidate degrees of f come from per-case closed formulas
 (:func:`candidate_degrees`).  The test suite checks them against an
 independent oracle, the generic recurrence analysis in
@@ -19,7 +24,6 @@ independent oracle, the generic recurrence analysis in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -144,13 +148,14 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     if d_f < 0:
         return None
     h2s = h2.shift(1)
+    x, xm1, xp1 = Poly.x(), Poly((-1, 1)), Poly((1, 1))
     basis = []
-    xi = Poly.one()
-    for i in range(d_f + 1):
+    # running powers x^i, (x-1)^i, (x+1)^i
+    xi = xmi = xpi = Poly.one()
+    for _ in range(d_f + 1):
         # contribution of the unknown coefficient f_i
-        p = xi * a - Poly.x().shift(-1) ** i * h1 - Poly.x().shift(1) ** i * h2s
-        basis.append(p)
-        xi = xi * Poly.x()
+        basis.append(xi * a - xmi * h1 - xpi * h2s)
+        xi, xmi, xpi = xi * x, xmi * xm1, xpi * xp1
     rows = max((len(p.coeffs) for p in basis), default=0)
     ncols = d_f + 1
     m = [[basis[i].coeff(j) for i in range(ncols)] for j in range(rows)]
@@ -302,20 +307,18 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
             blocks.append((residual, 1))
     exhaustive = all(p.degree == 1 for p, _ in blocks)
 
-    choices = []
+    decomps = [(Poly.one(), Poly.one())]
     for p, mult in blocks:
-        if p.degree >= 2:
-            choices.append((0, mult))  # atomic: all or nothing
-        else:
-            choices.append(tuple(range(mult + 1)))
-    decomps = []
-    for pick in itertools.product(*choices):
-        h1m = Poly.one()
-        h2m = Poly.one()
-        for (p, mult), e in zip(blocks, pick):
-            h1m = h1m * p**e
-            h2m = h2m * p ** (mult - e)
-        decomps.append((h1m, h2m))
+        powers = [Poly.one()]
+        for _ in range(mult):
+            powers.append(powers[-1] * p)
+        # an atomic block goes whole to one side
+        picks = (0, mult) if p.degree >= 2 else range(mult + 1)
+        decomps = [
+            (h1m * powers[e], h2m * powers[mult - e])
+            for h1m, h2m in decomps
+            for e in picks
+        ]
     decomps.sort(key=lambda pair: (_poly_key(pair[0]), _poly_key(pair[1])))
 
     report = IdentifyReport(exhaustive=exhaustive)

@@ -9,9 +9,12 @@ here fails loudly rather than silently weakening every numeric comparison.
 
 The generic three-term degree analysis at the end is the oracle for
 polycf.identify.candidate_degrees: it derives the degree of f from the
-recurrence form rather than from the per-case formulas.
+recurrence form rather than from the per-case formulas.  reference_splits is
+the oracle for the splits polycf.identify.identify examines: it builds each
+split pick by pick rather than as running prefix products.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,3 +144,28 @@ def three_term_degree_analysis(bt: BetaTriple) -> set[int]:
         if root.denominator == 1 and root >= 0:
             out.add(int(root))
     return out
+
+
+def split_key(split):
+    """The order identify examines splits in: by h1, then h2, each by
+    degree and then by ascending coefficients."""
+    h1, h2 = split
+    return (len(h1.coeffs), h1.coeffs, len(h2.coeffs), h2.coeffs)
+
+
+def reference_splits(blocks) -> list:
+    """Every monic split (h1, h2) of the factor blocks [(p, mult), ...],
+    sorted by split_key.
+
+    Each pick of exponents e gives h1 = prod p**e and h2 = prod p**(mult-e);
+    a block of degree >= 2 is atomic and goes whole to one side.
+    """
+    choices = [(0, m) if p.degree >= 2 else range(m + 1) for p, m in blocks]
+    splits = []
+    for pick in itertools.product(*choices):
+        h1 = h2 = Poly.one()
+        for (p, m), e in zip(blocks, pick):
+            h1 = h1 * p**e
+            h2 = h2 * p ** (m - e)
+        splits.append((h1, h2))
+    return sorted(splits, key=split_key)

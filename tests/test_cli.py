@@ -47,6 +47,15 @@ def test_eval_head_is_applied_without_reduction():
     assert r.stdout == "24/16\n"
 
 
+def test_eval_rational_coefficients_print_an_integer_pair():
+    # p and q are Fractions here; the pair is scaled to integers, not reduced
+    r = run_cli("eval", "--a", "n+1/2", "--b", "n", "--depth", "3")
+    assert r.returncode == 0
+    assert r.stdout == "94/197\n"
+    headed = run_cli("eval", "--a", "n+1/2", "--b", "n", "--depth", "3", "--head", "1/3")
+    assert headed.stdout == "479/591\n"
+
+
 def test_eval_pole_prints_inf():
     r = run_cli("eval", "--a", "0", "--b", "1", "--depth", "1")
     assert r.returncode == 0
@@ -261,8 +270,16 @@ def test_triangularize_pole_sets_exit_code():
     r = run_cli("triangularize", "--h1", "n+1", "--h2", "n-3", "--depth", "5")
     assert r.returncode == 1
     assert r.stderr == "error: PoleInFormula: h2 vanishes at k = 3\n"
-    # The factorization is still printed before the route evaluation trips.
-    assert r.stdout.splitlines()[1] == "alpha = n + 1, lambda = n - 3"
+    # The report is built in full before printing, so nothing partial shows.
+    assert r.stdout == ""
+
+
+def test_limit_failure_prints_no_partial_report():
+    # the estimate succeeds, then identify rejects b = 0
+    r = run_cli("limit", "--a", "n", "--b", "0", "--closed-form")
+    assert r.returncode == 1
+    assert r.stderr == "error: InvalidInput: a and b must be nonzero\n"
+    assert r.stdout == ""
 
 
 def test_no_subcommand_is_a_usage_error():

@@ -9,6 +9,7 @@ up on.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from polycf.identify import (
     REASON_PATTERN,
 )
 
-from _reference import BetaTriple, three_term_degree_analysis
+from _reference import BetaTriple, reference_splits, split_key, three_term_degree_analysis
 
 X = Poly.x()
 ONE = Poly.one()
@@ -222,6 +223,43 @@ def test_search_recovers_constructed_triples(t):
     assert report.exhaustive
     assert (t.h1, t.h2) in {(s.h1, s.h2) for s in report.solutions}
     assert_sound(report, a, b)
+
+
+@pytest.mark.parametrize("variant", ["linear", "atomic", "factored"])
+def test_examined_splits_match_reference_enumeration(variant):
+    """identify examines exactly the splits of the pick-by-pick reference,
+    and reports its rejections in sorted split order.
+
+    b has 1-3 distinct integer roots of multiplicity 1-3; "atomic" adds an
+    (n^2+1)^k factor with k = 1 or 2, and "factored" passes the blocks,
+    shuffled, as a hint, so (n^2+1)^2 is one atomic block of multiplicity 2.  a
+    comes from a random split, so some splits are solved and some rejected.
+    """
+    rng = random.Random(f"splits-{variant}")
+    for _ in range(8):
+        roots = rng.sample(range(-3, 4), rng.randint(1, 3))
+        blocks = [(X - r, rng.randint(1, 3)) for r in roots]
+        if variant != "linear":
+            blocks.append((X**2 + 1, rng.randint(1, 2)))
+        h1 = h2 = ONE
+        for p, m in blocks:
+            e = rng.choice((0, m) if p.degree >= 2 else range(m + 1))
+            h1, h2 = h1 * p**e, h2 * p ** (m - e)
+        h2 = h2 * rng.choice([1, 2])
+        a, b = build_euler_cf(trivial_triple(h1, h2))
+        factored = None
+        if variant == "factored":
+            rng.shuffle(blocks)
+            factored = (-h2.lead, blocks)
+        report = identify(a, b, factored=factored)
+
+        rejected = [(r.h1, r.h2) for r in report.rejections]
+        examined = {(t.h1.monic(), t.h2.monic()) for t in report.solutions}
+        examined.update(rejected)
+        reference = reference_splits(blocks)
+        assert examined == set(reference)
+        assert rejected == sorted(rejected, key=split_key)
+        assert report.exhaustive == (variant == "linear")
 
 
 # ---------------------------------------------------------------------------
