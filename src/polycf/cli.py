@@ -236,7 +236,9 @@ def _cmd_limit(args) -> list[str]:
         lines.append(f"delta: {est.last_delta}")
     lines.append(f"depth: {est.depth_used}")
     lines.append(f"verdict: {est.verdict}")
-    if args.closed_form:
+    if args.closed_form and args.b.is_zero:
+        lines.append("no closed form found (b = 0, the CF is finite)")
+    elif args.closed_form:
         report = identify(args.a, args.b)
         if not report.solutions:
             lines.append("no closed form found (no Euler-family match)")

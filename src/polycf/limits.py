@@ -35,7 +35,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .euler import EulerTriple
-from .mobius import CFSpec, convergents
+from .mobius import CFSpec, _cleared, _scaled_value, convergents
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,29 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
     checkpoint pair with |x(2n) - x(n)| < eps, reporting x(2n).  A CF
     truncated by a zero b(i) has an exact value, returned with delta 0.
     Checkpoints whose convergent is a pole are skipped for comparison.
+
+    The stream walked is that of the cleared CF (b L^2, a L; see
+    polycf.mobius._cleared), whose states are plain ints for Poly
+    coefficients; a checkpoint reads head + p/(L q), one gcd per checkpoint
+    in place of one per term.
     """
     eps = rat(eps)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
+    L, cleared = _cleared(cf)
     checkpoint = 8
     prev = None
     last_val = None
     last_delta = None
     depth_seen = 0
-    for state in convergents(cf):
+    for state in convergents(cleared):
         depth = state.n - 1
         if state.truncated:
-            v = state.value
+            v = _scaled_value(state, L)
             value = cf.head + v if not is_inf(v) else v
             return LimitEstimate(value, Fraction(0), depth, LimitEstimate.ESTIMATED)
         if depth == checkpoint:
-            v = state.value
+            v = _scaled_value(state, L)
             if not is_inf(v):
                 val = cf.head + v
                 if prev is not None:

@@ -13,10 +13,27 @@ kept unreduced so that the determinant identity
 
 holds on the raw integers; ``ConvergentState.reduced()`` gives lowest terms
 on demand.
+
+Deep states are computed on integers.  ``_cleared`` takes a CF with Poly
+coefficients to b -> L^2 b, a -> L a, where L is the lcm of the coefficient
+denominators (the constant-c equivalence transform), so its terms are
+integers and the value of the original K part is the cleared value over L.
+``cf_value``, ``product_apply`` and the CLI's ``eval`` multiply the cleared
+step matrices in a balanced product tree (binary splitting; ``_tree_state``):
+leaves of a few terms by the plain recurrence, then equal-sized neighbouring
+blocks, so that the large multiplications are between operands of equal
+size and only O(log depth) blocks are held.  After k steps the cleared
+product (P'', P'; Q'', Q') is the stream's state k + 1 up to powers of L:
+
+    p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k,
+
+so that p/q = P'/(L Q').
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -128,6 +145,21 @@ def _term(seq, pos: int, i: int):
     raise TypeError(f"cannot read a coefficient sequence from {type(seq).__name__}")
 
 
+def _int_coeffs(seq):
+    """Descending int coefficients of a Poly with integer coefficients, else
+    None: such a Poly is evaluated by Horner's rule on ints."""
+    if isinstance(seq, Poly) and all(c.denominator == 1 for c in seq.coeffs):
+        return [c.numerator for c in reversed(seq.coeffs)]
+    return None
+
+
+def _horner(cs: list, i: int) -> int:
+    v = 0
+    for c in cs:
+        v = v * i + c
+    return v
+
+
 @dataclass(frozen=True)
 class CFSpec:
     """A continued fraction head + K_{i>=start} b(i)/a(i).
@@ -141,12 +173,15 @@ class CFSpec:
     start: int = 1
     head: Fraction = Fraction(0)
 
-    def terms(self) -> Iterator[tuple[Fraction, Fraction]]:
+    def terms(self) -> Iterator[tuple]:
+        """(b(i), a(i)) for i = start, start + 1, ...; ints for an integral
+        Poly, Fractions otherwise."""
+        b_int, a_int = _int_coeffs(self.b), _int_coeffs(self.a)
         pos = 0
         while True:
             i = self.start + pos
-            bi = _term(self.b, pos, i)
-            ai = _term(self.a, pos, i)
+            bi = _term(self.b, pos, i) if b_int is None else _horner(b_int, i)
+            ai = _term(self.a, pos, i) if a_int is None else _horner(a_int, i)
             if bi is None or ai is None:
                 return
             yield bi, ai
@@ -221,17 +256,92 @@ def convergents(cf: CFSpec) -> Iterator[ConvergentState]:
     return convergents_from_terms(cf.terms())
 
 
-def _state_at(cf: CFSpec, depth: int) -> ConvergentState:
+def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
+    """(L, CFSpec(b=L^2 b, a=L a)) for Poly a and b, L the lcm of their
+    coefficient denominators; the value of cf is head + (cleared value)/L.
+    Any other CF comes back unchanged with L = 1."""
+    if not (isinstance(cf.a, Poly) and isinstance(cf.b, Poly)):
+        return 1, cf
+    L = math.lcm(*(c.denominator for c in cf.a.coeffs + cf.b.coeffs))
+    return L, CFSpec(b=cf.b * (L * L), a=cf.a * L, start=cf.start)
+
+
+# Terms per leaf of the product tree; a leaf is multiplied by the plain
+# recurrence, which costs half the products of a 2x2 matrix product.
+_LEAF = 16
+
+
+def _mat_mul(m: tuple, n: tuple) -> tuple:
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _tree_state(cf: CFSpec, depth: int) -> ConvergentState:
+    """State `depth` + 1 of the stream of cf, as a balanced product tree.
+
+    Leaves of _LEAF terms are pushed on a stack of blocks in term order and
+    merged while the two top blocks are of equal size (a binary counter);
+    the remaining blocks are folded from the right at the end.  Exactly
+    `depth` terms are read, fewer when a zero b truncates the CF.
+    """
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
-    last = None
-    for state in convergents(cf):
-        last = state
-        if state.n >= depth + 1 or state.truncated:
-            return last
-    # the term sequence ran out before `depth` without a zero-b truncation
-    raise InvalidInput(
-        f"coefficient sequence exhausted after {last.n - 1} terms, needed {depth}"
+    stack = []  # (size, matrix), sizes strictly decreasing up the stack
+    leaf = (1, 0, 0, 1)
+    steps = 0
+    truncated = False
+    for bi, ai in itertools.islice(cf.terms(), depth):
+        if bi == 0:
+            truncated = True
+            break
+        if isinstance(bi, Fraction) and bi.denominator == 1:
+            bi = bi.numerator
+        if isinstance(ai, Fraction) and ai.denominator == 1:
+            ai = ai.numerator
+        p_prev, p, q_prev, q = leaf
+        leaf = (p, ai * p + bi * p_prev, q, ai * q + bi * q_prev)
+        steps += 1
+        if steps % _LEAF == 0:
+            size, m = _LEAF, leaf
+            while stack and stack[-1][0] == size:
+                s, left = stack.pop()
+                size, m = size + s, _mat_mul(left, m)
+            stack.append((size, m))
+            leaf = (1, 0, 0, 1)
+    if steps < depth and not truncated:
+        raise InvalidInput(
+            f"coefficient sequence exhausted after {steps} terms, needed {depth}"
+        )
+    m = leaf
+    while stack:
+        m = _mat_mul(stack.pop()[1], m)
+    return ConvergentState(steps + 1 + truncated, *m, truncated=truncated)
+
+
+def _scaled_value(state: ConvergentState, L: int):
+    """p/(L q) for a state of a CF cleared with L, or INF when q = 0."""
+    if state.q == 0:
+        return INF
+    return Fraction(state.p, L * state.q)
+
+
+def _state_at(cf: CFSpec, depth: int) -> ConvergentState:
+    """The stream's state `depth` + 1 of cf (the truncated state when a zero
+    b comes first), computed on the cleared CF and scaled back."""
+    L, cleared = _cleared(cf)
+    state = _tree_state(cleared, depth)
+    if L == 1:
+        return state
+    k = state.n - 1 - state.truncated
+    Lk = L**k
+    return ConvergentState(
+        state.n,
+        Fraction(state.p_prev, Lk),
+        Fraction(state.p, Lk * L),
+        Fraction(state.q_prev * L, Lk),
+        Fraction(state.q, Lk),
+        state.truncated,
     )
 
 
@@ -243,9 +353,14 @@ def cf_value(cf: CFSpec, depth: int):
 
     >>> cf_value(CFSpec(b=Poly([0, -1]), a=Poly([2, 1])), 2)   # -1/(3 + (-2)/4)
     Fraction(-2, 5)
+
+    Rational coefficients are cleared to integers first (see _cleared):
+
+    >>> cf_value(CFSpec(b=Poly([0, Fraction(-1, 2), -1]), a=Poly([Fraction(3, 2), 2])), 3)
+    Fraction(-123, 187)
     """
-    state = _state_at(cf, depth)
-    v = state.value
+    L, cleared = _cleared(cf)
+    v = _scaled_value(_tree_state(cleared, depth), L)
     if is_inf(v):
         return INF
     return cf.head + v

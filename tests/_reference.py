@@ -12,6 +12,11 @@ polycf.identify.candidate_degrees: it derives the degree of f from the
 recurrence form rather than from the per-case formulas.  reference_splits is
 the oracle for the splits polycf.identify.identify examines: it builds each
 split pick by pick rather than as running prefix products.
+
+reference_state_at and reference_numeric_limit are the oracles for the deep
+convergent kernel: they walk the plain convergent stream of the CF as given
+(Fraction arithmetic for rational coefficients), where polycf clears
+denominators and multiplies in a product tree.
 """
 
 import itertools
@@ -19,7 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from polycf.algebra import Poly, rational_sqrt
+from polycf.algebra import INF, Poly, is_inf, rat, rational_sqrt
+from polycf.errors import InvalidInput
+from polycf.limits import LimitEstimate
+from polycf.mobius import CFSpec, ConvergentState, convergents
 
 
 @lru_cache(maxsize=None)
@@ -169,3 +177,59 @@ def reference_splits(blocks) -> list:
             h2 = h2 * p ** (m - e)
         splits.append((h1, h2))
     return sorted(splits, key=split_key)
+
+
+def reference_state_at(cf: CFSpec, depth: int) -> ConvergentState:
+    """State `depth` + 1 of the convergent stream of cf, walked step by step
+    (the truncated state when a zero b comes first)."""
+    if depth < 0:
+        raise InvalidInput("depth must be nonnegative")
+    last = None
+    for state in convergents(cf):
+        last = state
+        if state.n >= depth + 1 or state.truncated:
+            return last
+    raise InvalidInput(
+        f"coefficient sequence exhausted after {last.n - 1} terms, needed {depth}"
+    )
+
+
+def reference_cf_value(cf: CFSpec, depth: int):
+    """head + the depth-term convergent, or INF, from reference_state_at."""
+    v = reference_state_at(cf, depth).value
+    return INF if is_inf(v) else cf.head + v
+
+
+def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
+    """numeric_limit on the stream of cf as given: checkpoints at depths 8,
+    16, 32, ..., stop when two successive finite checkpoints differ by less
+    than eps; a truncated CF is exact with delta 0."""
+    eps = rat(eps)
+    if eps <= 0:
+        raise InvalidInput("eps must be positive")
+    checkpoint = 8
+    prev = None
+    last_val = None
+    last_delta = None
+    depth_seen = 0
+    for state in convergents(cf):
+        depth = state.n - 1
+        if state.truncated:
+            v = state.value
+            value = cf.head + v if not is_inf(v) else v
+            return LimitEstimate(value, Fraction(0), depth, LimitEstimate.ESTIMATED)
+        if depth == checkpoint:
+            v = state.value
+            if not is_inf(v):
+                val = cf.head + v
+                if prev is not None:
+                    last_delta = abs(val - prev)
+                    if last_delta < eps:
+                        return LimitEstimate(val, last_delta, depth, LimitEstimate.ESTIMATED)
+                prev = val
+                last_val = val
+            checkpoint *= 2
+        depth_seen = depth
+        if depth >= max_depth:
+            break
+    return LimitEstimate(last_val, last_delta, depth_seen, LimitEstimate.INCONCLUSIVE)

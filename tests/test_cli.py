@@ -275,11 +275,26 @@ def test_triangularize_pole_sets_exit_code():
 
 
 def test_limit_failure_prints_no_partial_report():
-    # the estimate succeeds, then identify rejects b = 0
-    r = run_cli("limit", "--a", "n", "--b", "0", "--closed-form")
+    # the estimate succeeds, then identify rejects a = 0
+    r = run_cli("limit", "--a", "0", "--b", "n", "--max-depth", "16", "--closed-form")
     assert r.returncode == 1
     assert r.stderr == "error: InvalidInput: a and b must be nonzero\n"
     assert r.stdout == ""
+
+
+def test_limit_closed_form_with_zero_b_is_finite():
+    # b = 0 truncates the CF at its first term: the estimate is exact and
+    # identify, which needs b != 0, is not asked
+    r = run_cli("limit", "--a", "n", "--b", "0", "--closed-form")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines() == [
+        "estimate: 0",
+        "delta: 0",
+        "depth: 1",
+        "verdict: estimated",
+        "no closed form found (b = 0, the CF is finite)",
+    ]
 
 
 def test_no_subcommand_is_a_usage_error():

@@ -9,6 +9,10 @@ reference constants), so no identity is trusted on one derivation alone.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polycf.limits
 
 from polycf import (
     BetaForm,
@@ -35,7 +39,8 @@ from polycf import (
     ZetaCombo,
 )
 
-from _reference import e_ref, zeta_ref
+from _reference import e_ref, reference_numeric_limit, zeta_ref
+from _strategies import poly_cfs
 
 X = Poly.x()
 ONE = Poly.one()
@@ -116,6 +121,39 @@ def test_numeric_limit_inconclusive_when_capped():
     assert est.verdict == LimitEstimate.INCONCLUSIVE
     assert est.depth_used == 20
     assert est.last_delta is not None and est.last_delta > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_cfs(), st.sampled_from([Fraction(1, 10), Fraction(1, 1000)]), st.integers(1, 512))
+def test_numeric_limit_matches_stream_walk(cf, eps, max_depth):
+    assert numeric_limit(cf, eps, max_depth) == reference_numeric_limit(cf, eps, max_depth)
+
+
+def test_numeric_limit_pole_checkpoints_match_stream_walk():
+    # a = n + 1/2, b = -(n + 1/2)(n - 1/2): q = 0 at the checkpoints 8 and 32
+    c = X + Fraction(1, 2)
+    cf = CFSpec(b=-(c * c.shift(-1)), a=c, head=Fraction(1, 3))
+    assert numeric_limit(cf, Fraction(1, 10), 64) == reference_numeric_limit(cf, Fraction(1, 10), 64)
+
+
+def test_numeric_limit_walks_integer_states(monkeypatch):
+    # rational coefficients are cleared before the walk: every state the
+    # stream yields holds plain ints, and the estimate is unchanged
+    seen = []
+    stream = polycf.limits.convergents
+
+    def recording(cf):
+        for state in stream(cf):
+            seen.append(state)
+            yield state
+
+    monkeypatch.setattr(polycf.limits, "convergents", recording)
+    t = trivial_triple(X, X + Fraction(1, 2))
+    cf = CFSpec(b=t.b, a=t.a)
+    got = numeric_limit(cf, Fraction(1, 1000), max_depth=256)
+    assert len(seen) > 8
+    assert all(type(s.p) is int and type(s.q) is int for s in seen)
+    assert got == reference_numeric_limit(cf, Fraction(1, 1000), max_depth=256)
 
 
 # ---------------------------------------------------------------------------

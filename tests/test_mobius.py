@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polycf import (
     CFLimit,
     CFSpec,
+    DegenerateTerm,
     InvalidInput,
     Mat2,
     Poly,
@@ -25,6 +26,10 @@ from polycf import (
     product_apply,
     INF,
 )
+from polycf.mobius import _state_at
+
+from _reference import reference_cf_value, reference_state_at
+from _strategies import poly_cfs
 
 
 # --- worked oracle: 4/11 = 1/(2 + 1/(1 + 1/3)) ---
@@ -174,6 +179,80 @@ def test_int_fast_path():
     states = list(convergents_from_terms([(2, 3), (Fraction(1, 2), 1), (4, 5)]))
     assert isinstance(states[1].p, int) and isinstance(states[1].q, int)
     assert isinstance(states[2].p, Fraction)
+
+
+# --- the product tree against the stream walk ---
+
+
+def _fields(state):
+    return (state.n, state.p_prev, state.p, state.q_prev, state.q, state.truncated)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the polycf error it raised."""
+    try:
+        return fn(*args)
+    except (InvalidInput, DegenerateTerm, SingularMatrix) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_cfs(), st.integers(0, 300))
+def test_tree_state_matches_stream(cf, depth):
+    want = reference_state_at(cf, depth)
+    assert _fields(_state_at(cf, depth)) == _fields(want)
+    assert cf_value(cf, depth) == reference_cf_value(cf, depth)
+    for z in (Fraction(0), INF, Fraction(1, 3)):
+        assert _outcome(product_apply, cf, depth, z) == _outcome(lambda: want.as_matrix().apply(z))
+
+
+@pytest.mark.parametrize("zero_at", [None, 20])
+@pytest.mark.parametrize("depth", [0, 1, 15, 16, 17, 33, 100])
+def test_tree_state_on_explicit_lists(depth, zero_at):
+    # 40 terms, optionally a zero b at term 21: past it the state is the
+    # truncated one, past 40 terms without it the sequence is exhausted
+    rng = random.Random(depth)
+    bs = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in range(40)]
+    as_ = [rng.randint(-9, 9) for _ in range(40)]
+    if zero_at is not None:
+        bs[zero_at] = 0
+    cf = CFSpec(b=bs, a=as_)
+    try:
+        want = _fields(reference_state_at(cf, depth))
+    except InvalidInput as exc:
+        assert zero_at is None and depth > 40
+        with pytest.raises(InvalidInput) as got:
+            _state_at(cf, depth)
+        assert str(got.value) == str(exc) == f"coefficient sequence exhausted after 40 terms, needed {depth}"
+    else:
+        assert _fields(_state_at(cf, depth)) == want
+
+
+def test_callable_degenerate_term_raises_at_the_same_term():
+    def b_at(calls):
+        def b(i):
+            calls.append(i)
+            if i == 20:
+                raise DegenerateTerm(i)
+            return i
+        return b
+
+    for depth in (18, 19, 20, 21):
+        tree_calls, stream_calls = [], []
+        tree, stream = CFSpec(b=b_at(tree_calls), a=Poly.x()), CFSpec(b=b_at(stream_calls), a=Poly.x())
+        got = _outcome(_state_at, tree, depth)
+        assert got == _outcome(reference_state_at, stream, depth)
+        assert (got is DegenerateTerm) == (depth >= 20)
+        assert tree_calls == stream_calls == list(range(1, min(depth, 20) + 1))
+
+
+def test_integral_poly_terms_are_ints():
+    cf = CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5"), start=2)
+    terms = [t for _, t in zip(range(5), cf.terms())]
+    assert terms == [(-(i**6), 34 * i**3 + 51 * i**2 + 27 * i + 5) for i in range(2, 7)]
+    assert all(type(b) is int and type(a) is int for b, a in terms)
+    half = CFSpec(b=parse_poly("1/2n"), a=Poly.x())
+    assert [b for (b, _), _ in zip(half.terms(), range(3))] == [Fraction(1, 2), 1, Fraction(3, 2)]
 
 
 # --- product_apply ---
