@@ -287,6 +287,20 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_normalize_argv(list(argv)))
+    # deep convergents run past Python's default limit on int-to-str
+    # conversion (4300 digits); lift it while the command runs and prints
+    max_digits = None
+    if hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        max_digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if max_digits is not None:
+            sys.set_int_max_str_digits(max_digits)
+
+
+def _run(args) -> int:
     # a command builds its whole report before anything is printed, so a
     # failure part-way leaves stdout empty
     try:

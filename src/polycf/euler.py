@@ -13,6 +13,15 @@ and the polynomial version is driven by triples (h1, h2, f) with
 whose finite values have the closed form implemented in
 :func:`euler_partial_value`.  The trivial family has f = 1 and
 a = h1(x) + h2(x+1).
+
+The closed form is computed on integers.  With h1 = H1/D1, h2 = H2/D2 and
+f = F/Df (H1, H2, F integral, each D the lcm of the coefficient
+denominators), consecutive summands of its sum S have the ratio p/q with
+
+    p = F(k-1) H1(k) D2,   q = F(k+1) H2(k+1) D1,
+
+so S = [A(1) ... A(n)](1; 1) for the steps A(k) = (p, q; 0, q), which
+mobius._tree_product multiplies as a balanced product tree.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .errors import (
     PoleInFormula,
     ZeroScaler,
 )
-from .mobius import CFSpec, _term
+from .mobius import CFSpec, _horner, _int_form, _leaves, _term, _tree_product
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,13 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
     return bs, as_, 1 / c_vals[0]
 
 
+def _ratio_step(leaf: tuple, ratio: tuple) -> tuple:
+    """leaf * (p, q; 0, q) for an upper triangular leaf, in 3 products."""
+    a, b, _, d = leaf
+    p, q = ratio
+    return (a * p, (a + b) * q, 0, d * q)
+
+
 def euler_partial_value(t: EulerTriple, n: int):
     """Closed form for the depth-n value of the CF of a triple.
 
@@ -185,28 +201,34 @@ def euler_partial_value(t: EulerTriple, n: int):
 
     Raises PoleInFormula(k) when a needed f(k) (0 <= k <= n+1) or h2(k)
     (1 <= k <= n+1) vanishes.  Returns INF when S = 0.
+
+    >>> x = Poly.x()
+    >>> euler_partial_value(trivial_triple(x, x + Fraction(1, 2)), 3)
+    Fraction(-123, 187)
+    >>> euler_partial_value(EulerTriple(x**3, x**3, x * x + x + Fraction(1, 2)), 3)
+    Fraction(-727, 14315)
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    h1, h2, f = t.h1, t.h2, t.f
-    fv = [f(Fraction(k)) for k in range(n + 2)]
+    (H1, D1), (H2, D2), (F, _) = (_int_form(p) for p in (t.h1, t.h2, t.f))
+    fv = [_horner(F, k) for k in range(n + 2)]
     for k, v in enumerate(fv):
         if v == 0:
             raise PoleInFormula(k, "f")
-    h2v = [None] + [h2(Fraction(k)) for k in range(1, n + 2)]
+    h2v = [None] + [_horner(H2, k) for k in range(1, n + 2)]
     for k in range(1, n + 2):
         if h2v[k] == 0:
             raise PoleInFormula(k, "h2")
-    f01 = fv[0] * fv[1]
-    total = Fraction(0)
-    prod = Fraction(1)  # prod_{i=1}^{k} h1(i)/h2(i+1)
-    for k in range(n + 1):
-        if k > 0:
-            prod *= h1(Fraction(k)) / h2v[k + 1]
-        total += f01 / (fv[k] * fv[k + 1]) * prod
-    if total == 0:
+
+    def ratios():
+        for k in range(1, n + 1):
+            yield fv[k - 1] * _horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
+
+    # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d
+    a, b, _, d = _tree_product(_leaves(ratios(), _ratio_step))
+    if a + b == 0:
         return INF
-    return (fv[1] * h2v[1] / fv[0]) * (1 / total - 1)
+    return Fraction(fv[1] * h2v[1] * (d - a - b), fv[0] * D2 * (a + b))
 
 
 def solve_c_recurrence(b, a, c0, n: int) -> list[Fraction]:

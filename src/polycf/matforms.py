@@ -13,7 +13,13 @@ A 2x2 matrix family M(n) with polynomial entries drives the recurrence
 
 The Euler-family step matrix (0, -h1 h2; 1, h1 + h2(x+1)) has both
 structures explicitly, and the triangular route re-derives its partial
-values without touching convergent recurrences.
+values without touching convergent recurrences.  Its steps
+T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)) are multiplied on integers: with
+h1 = H1/D1 and h2 = H2/D2 (H1, H2 integral), the scaled step
+
+    D1 D2 H2(i+1) T(i) = (H1(i) H2(i+1) D2, -H1(i) D2^2; 0, H2(i) H2(i+1) D1)
+
+is integral, and the scalar factors cancel in corner/prod_g.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import Poly, RatFunc, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
-from .mobius import Mat2
+from .mobius import Mat2, _horner, _int_form, _leaves, _tree_product
 
 
 def _sym(x):
@@ -281,26 +287,22 @@ def _mat_term(terms, i: int) -> Mat2:
 
 
 def triangular_product(terms, n: int) -> Mat2:
-    """prod_{i=1}^{n-1} T(i) for upper triangular T, in one linear pass.
+    """prod_{i=1}^{n-1} T(i) for upper triangular T, as a balanced product
+    tree (mobius._tree_product).
 
-    The diagonal multiplies out directly and the corner obeys
-    C_m = C_{m-1} gamma_m + (prod_{i<m} alpha_i) beta_m, so no full matrix
-    products are formed.  terms is a callable i -> Mat2 or a list (index i
-    at position i-1).
+    terms is a callable i -> Mat2 or a list (index i at position i-1).
     """
     if n < 1:
         raise InvalidInput("n must be at least 1")
-    prod_a = Fraction(1)
-    corner = Fraction(0)
-    prod_g = Fraction(1)
-    for i in range(1, n):
-        t = _mat_term(terms, i)
-        if t.c != 0:
-            raise InvalidInput(f"matrix at index {i} is not upper triangular")
-        corner = corner * t.d + prod_a * t.b
-        prod_a *= t.a
-        prod_g *= t.d
-    return Mat2(prod_a, corner, 0, prod_g)
+
+    def blocks():
+        for i in range(1, n):
+            t = _mat_term(terms, i)
+            if t.c != 0:
+                raise InvalidInput(f"matrix at index {i} is not upper triangular")
+            yield (t.a, t.b, t.c, t.d)
+
+    return Mat2(*_tree_product(blocks()))
 
 
 def triangular_product_at_zero(terms, n: int) -> Fraction:
@@ -324,29 +326,41 @@ def triangular_product_at_zero(terms, n: int) -> Fraction:
     return total
 
 
+def _triangular_step(leaf: tuple, step: tuple) -> tuple:
+    """leaf * (alpha, beta; 0, gamma) for an upper triangular leaf."""
+    a, b, _, d = leaf
+    alpha, beta, gamma = step
+    return (a * alpha, a * beta + b * gamma, 0, d * gamma)
+
+
 def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     """Partial CF value K_{i=1}^{n-1} b(i)/a(i) of the trivial family, via
     the triangular route only.
 
-    Builds T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)), multiplies them in one
-    pass, applies the result to 0 and maps through U(1)^{-1}.  Must agree
+    The product of T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)) applied to 0 is
+    z = corner/prod_g, which U(1)^{-1} maps to the value.  The steps are
+    multiplied on integers, scaled as in the module docstring.  Must agree
     with the summation formula for the same triple; n = 1 gives 0.  Raises
     PoleInFormula when h2 vanishes on 1..n.
+
+    >>> rederive_euler_sum(Poly.x(), Poly.x() + Fraction(1, 2), 4)
+    Fraction(-123, 187)
     """
     if n < 1:
         raise InvalidInput("n must be at least 1")
-    h2_vals = {}
+    (H1, D1), (H2, D2) = _int_form(h1), _int_form(h2)
+    h2v = [None]
     for k in range(1, n + 1):
-        v = h2(Fraction(k))
+        v = _horner(H2, k)
         if v == 0:
             raise PoleInFormula(k, "h2")
-        h2_vals[k] = v
+        h2v.append(v)
 
-    def term(i: int) -> Mat2:
-        h1i = h1(Fraction(i))
-        return Mat2(h1i, -h1i / h2_vals[i + 1], 0, h2_vals[i])
+    def steps():
+        for i in range(1, n):
+            h1i = _horner(H1, i) * D2
+            yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
-    prod = triangular_product(term, n)
-    z = prod.apply(Fraction(0))
-    u1inv = Mat2(h2_vals[1], 0, -1, 1 / h2_vals[1])
-    return u1inv.apply(z)
+    _, corner, _, prod_g = _tree_product(_leaves(steps(), _triangular_step))
+    h2_1 = Fraction(h2v[1], D2)
+    return Mat2(h2_1, 0, -1, 1 / h2_1).apply(Fraction(corner, prod_g))

@@ -18,12 +18,20 @@ Deep states are computed on integers.  ``_cleared`` takes a CF with Poly
 coefficients to b -> L^2 b, a -> L a, where L is the lcm of the coefficient
 denominators (the constant-c equivalence transform), so its terms are
 integers and the value of the original K part is the cleared value over L.
-``cf_value``, ``product_apply`` and the CLI's ``eval`` multiply the cleared
-step matrices in a balanced product tree (binary splitting; ``_tree_state``):
-leaves of a few terms by the plain recurrence, then equal-sized neighbouring
-blocks, so that the large multiplications are between operands of equal
-size and only O(log depth) blocks are held.  After k steps the cleared
-product (P'', P'; Q'', Q') is the stream's state k + 1 up to powers of L:
+``_tree_product`` is the one product kernel for deep states (binary
+splitting): it multiplies 2x2 blocks in order, merging equal-sized
+neighbours, so that the large multiplications are between operands of equal
+size and only O(log depth) blocks are held.  Its callers build leaves of a
+few steps by their own plain recurrence:
+
+* ``_tree_state``, behind ``cf_value``, ``product_apply`` and the CLI's
+  ``eval``, from the cleared companion steps (0, b; 1, a);
+* ``euler.euler_partial_value`` from the summand ratios of its closed form;
+* ``matforms.rederive_euler_sum`` from scaled integer triangular steps, and
+  ``matforms.triangular_product`` from its Mat2 terms.
+
+After k steps the cleared product (P'', P'; Q'', Q') of ``_tree_state`` is
+the stream's state k + 1 up to powers of L:
 
     p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k,
 
@@ -153,6 +161,13 @@ def _int_coeffs(seq):
     return None
 
 
+def _int_form(p: Poly) -> tuple[list, int]:
+    """(H, D) with p = H/D: D the lcm of p's coefficient denominators and H
+    the descending int coefficients of D p, for _horner."""
+    D = math.lcm(*(c.denominator for c in p.coeffs))
+    return _int_coeffs(p * D), D
+
+
 def _horner(cs: list, i: int) -> int:
     v = 0
     for c in cs:
@@ -266,8 +281,8 @@ def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
     return L, CFSpec(b=cf.b * (L * L), a=cf.a * L, start=cf.start)
 
 
-# Terms per leaf of the product tree; a leaf is multiplied by the plain
-# recurrence, which costs half the products of a 2x2 matrix product.
+# Steps per leaf of a product tree; a leaf is multiplied by its caller's
+# plain recurrence, which costs fewer products than a 2x2 product.
 _LEAF = 16
 
 
@@ -277,45 +292,78 @@ def _mat_mul(m: tuple, n: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _leaves(steps: Iterable, step) -> Iterator[tuple]:
+    """The leaves for _tree_product: blocks of _LEAF consecutive steps, each
+    multiplied out from the identity by leaf = step(leaf, s)."""
+    leaf, count = (1, 0, 0, 1), 0
+    for s in steps:
+        leaf, count = step(leaf, s), count + 1
+        if count == _LEAF:
+            yield leaf
+            leaf, count = (1, 0, 0, 1), 0
+    if count:
+        yield leaf
+
+
+def _tree_product(blocks: Iterable[tuple]) -> tuple:
+    """The product, left to right, of 2x2 blocks (a, b, c, d), as a balanced
+    tree.
+
+    Blocks are pushed on a stack in order and merged while the two top
+    entries are products of equally many blocks (a binary counter); the
+    remaining entries are folded from the right at the end.  The empty
+    product is the identity.
+    """
+    stack = []  # (count, product), counts strictly decreasing up the stack
+    for m in blocks:
+        size = 1
+        while stack and stack[-1][0] == size:
+            s, left = stack.pop()
+            size, m = size + s, _mat_mul(left, m)
+        stack.append((size, m))
+    if not stack:
+        return (1, 0, 0, 1)
+    m = stack.pop()[1]
+    while stack:
+        m = _mat_mul(stack.pop()[1], m)
+    return m
+
+
+def _companion_step(leaf: tuple, term: tuple) -> tuple:
+    """leaf * (0, b; 1, a) by the convergent recurrence."""
+    p_prev, p, q_prev, q = leaf
+    b, a = term
+    return (p, a * p + b * p_prev, q, a * q + b * q_prev)
+
+
 def _tree_state(cf: CFSpec, depth: int) -> ConvergentState:
     """State `depth` + 1 of the stream of cf, as a balanced product tree.
 
-    Leaves of _LEAF terms are pushed on a stack of blocks in term order and
-    merged while the two top blocks are of equal size (a binary counter);
-    the remaining blocks are folded from the right at the end.  Exactly
-    `depth` terms are read, fewer when a zero b truncates the CF.
+    Exactly `depth` terms are read, fewer when a zero b truncates the CF.
     """
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
-    stack = []  # (size, matrix), sizes strictly decreasing up the stack
-    leaf = (1, 0, 0, 1)
     steps = 0
     truncated = False
-    for bi, ai in itertools.islice(cf.terms(), depth):
-        if bi == 0:
-            truncated = True
-            break
-        if isinstance(bi, Fraction) and bi.denominator == 1:
-            bi = bi.numerator
-        if isinstance(ai, Fraction) and ai.denominator == 1:
-            ai = ai.numerator
-        p_prev, p, q_prev, q = leaf
-        leaf = (p, ai * p + bi * p_prev, q, ai * q + bi * q_prev)
-        steps += 1
-        if steps % _LEAF == 0:
-            size, m = _LEAF, leaf
-            while stack and stack[-1][0] == size:
-                s, left = stack.pop()
-                size, m = size + s, _mat_mul(left, m)
-            stack.append((size, m))
-            leaf = (1, 0, 0, 1)
+
+    def terms():
+        nonlocal steps, truncated
+        for bi, ai in itertools.islice(cf.terms(), depth):
+            if bi == 0:
+                truncated = True
+                return
+            if isinstance(bi, Fraction) and bi.denominator == 1:
+                bi = bi.numerator
+            if isinstance(ai, Fraction) and ai.denominator == 1:
+                ai = ai.numerator
+            steps += 1
+            yield bi, ai
+
+    m = _tree_product(_leaves(terms(), _companion_step))
     if steps < depth and not truncated:
         raise InvalidInput(
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"
         )
-    m = leaf
-    while stack:
-        m = _mat_mul(stack.pop()[1], m)
     return ConvergentState(steps + 1 + truncated, *m, truncated=truncated)
 
 

@@ -16,7 +16,11 @@ split pick by pick rather than as running prefix products.
 reference_state_at and reference_numeric_limit are the oracles for the deep
 convergent kernel: they walk the plain convergent stream of the CF as given
 (Fraction arithmetic for rational coefficients), where polycf clears
-denominators and multiplies in a product tree.
+denominators and multiplies in a product tree.  In the same way
+reference_euler_partial_value sums the closed form term by term, and
+reference_triangular_product / reference_rederive_euler_sum run the
+triangular route as one Fraction pass, where polycf multiplies scaled
+integer steps in a product tree.
 """
 
 import itertools
@@ -25,9 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from polycf.algebra import INF, Poly, is_inf, rat, rational_sqrt
-from polycf.errors import InvalidInput
+from polycf.errors import InvalidInput, PoleInFormula, PolycfError
 from polycf.limits import LimitEstimate
-from polycf.mobius import CFSpec, ConvergentState, convergents
+from polycf.mobius import CFSpec, ConvergentState, Mat2, convergents
 
 
 @lru_cache(maxsize=None)
@@ -233,3 +237,85 @@ def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitE
         if depth >= max_depth:
             break
     return LimitEstimate(last_val, last_delta, depth_seen, LimitEstimate.INCONCLUSIVE)
+
+
+def reference_euler_partial_value(t, n: int):
+    """euler_partial_value by summing S term by term in Fractions, with the
+    same pole checks (every f(k), then every h2(k)) and INF when S = 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    h1, h2, f = t.h1, t.h2, t.f
+    fv = [f(Fraction(k)) for k in range(n + 2)]
+    for k, v in enumerate(fv):
+        if v == 0:
+            raise PoleInFormula(k, "f")
+    h2v = [None] + [h2(Fraction(k)) for k in range(1, n + 2)]
+    for k in range(1, n + 2):
+        if h2v[k] == 0:
+            raise PoleInFormula(k, "h2")
+    f01 = fv[0] * fv[1]
+    total = Fraction(0)
+    prod = Fraction(1)  # prod_{i=1}^{k} h1(i)/h2(i+1)
+    for k in range(n + 1):
+        if k > 0:
+            prod *= h1(Fraction(k)) / h2v[k + 1]
+        total += f01 / (fv[k] * fv[k + 1]) * prod
+    if total == 0:
+        return INF
+    return (fv[1] * h2v[1] / fv[0]) * (1 / total - 1)
+
+
+def reference_triangular_product(terms, n: int) -> Mat2:
+    """prod_{i=1}^{n-1} T(i) in one pass: the diagonal multiplies out and the
+    corner obeys C_m = C_{m-1} gamma_m + (prod_{i<m} alpha_i) beta_m."""
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
+    prod_a = Fraction(1)
+    corner = Fraction(0)
+    prod_g = Fraction(1)
+    for i in range(1, n):
+        if callable(terms):
+            t = terms(i)
+        elif i - 1 < len(terms):
+            t = terms[i - 1]
+        else:
+            raise InvalidInput(f"matrix sequence exhausted at index {i}")
+        if t.c != 0:
+            raise InvalidInput(f"matrix at index {i} is not upper triangular")
+        corner = corner * t.d + prod_a * t.b
+        prod_a *= t.a
+        prod_g *= t.d
+    return Mat2(prod_a, corner, 0, prod_g)
+
+
+def reference_rederive_euler_sum(h1: Poly, h2: Poly, n: int):
+    """rederive_euler_sum with the unscaled Fraction steps
+    T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)).  z = corner/prod_g is taken
+    directly, so a zero h1(i) (a singular product) still gives the value."""
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
+    h2_vals = {}
+    for k in range(1, n + 1):
+        v = h2(Fraction(k))
+        if v == 0:
+            raise PoleInFormula(k, "h2")
+        h2_vals[k] = v
+
+    def term(i: int) -> Mat2:
+        h1i = h1(Fraction(i))
+        return Mat2(h1i, -h1i / h2_vals[i + 1], 0, h2_vals[i])
+
+    prod = reference_triangular_product(term, n)
+    z = prod.b / prod.d
+    u1inv = Mat2(h2_vals[1], 0, -1, 1 / h2_vals[1])
+    return u1inv.apply(z)
+
+
+def outcome(fn, *args):
+    """(type, value) of fn(*args), or (exception type, message) when it raises
+    a polycf error or ValueError: what two routes must agree on."""
+    try:
+        v = fn(*args)
+    except (PolycfError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(v), v

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from polycf.cli import _normalize_argv, decimal_string
+import pytest
+
+from polycf import CFSpec, cf_value, parse_poly
+from polycf.cli import _normalize_argv, decimal_string, main
 
 from _reference import e_ref
 
@@ -272,6 +275,54 @@ def test_triangularize_pole_sets_exit_code():
     assert r.stderr == "error: PoleInFormula: h2 vanishes at k = 3\n"
     # The report is built in full before printing, so nothing partial shows.
     assert r.stdout == ""
+
+
+def test_triangularize_root_of_h1_truncates():
+    # h1(3) = 0 makes the triangular product singular; the CF ends there
+    r = run_cli("triangularize", "--h1", "n-3", "--h2", "n+1", "--depth", "10")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines()[2:] == [
+        "triangular route K_1^9 = 2",
+        "summation formula K_1^9 = 2",
+        "agree: true",
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_eval_prints_past_the_int_string_limit():
+    # Apery at depth 2000: p and q have more than 4300 digits
+    r = run_cli("eval", "--a", "34n^3+51n^2+27n+5", "--b", "-n^6", "--depth", "2000")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    num, den = r.stdout.strip().split("/")
+    assert len(den) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    cf = CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5"))
+    assert value == cf_value(cf, 2000)
+
+
+def test_limit_prints_past_the_int_string_limit():
+    r = run_cli("limit", "--a", "n+1/3", "--b", "-n^2-1/4", "--eps", "1e-6", "--max-depth", "1024")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    lines = r.stdout.splitlines()
+    assert len(lines[0]) > 4300
+    assert lines[2:] == ["depth: 1024", "verdict: inconclusive"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_main_restores_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    assert main(["eval", "--a", "34n^3+51n^2+27n+5", "--b", "-n^6", "--depth", "2000"]) == 0
+    assert main(["triangularize", "--h1", "n+1", "--h2", "n-3", "--depth", "5"]) == 1
+    assert sys.get_int_max_str_digits() == before
+    assert len(capsys.readouterr().out) > 8600
 
 
 def test_limit_failure_prints_no_partial_report():

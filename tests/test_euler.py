@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _reference import e_ref
+from _reference import e_ref, outcome, reference_euler_partial_value
+from _strategies import euler_triples
 from polycf import (
     CFSpec,
     DegenerateTerm,
@@ -219,6 +222,14 @@ def test_partial_value_pole_guards():
     t2 = EulerTriple(2 * (X - 2), 3 * (X - 3), X - 2)
     with pytest.raises(PoleInFormula):
         euler_partial_value(t2, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=euler_triples(), n=st.integers(0, 300))
+def test_partial_value_matches_term_by_term_sum(t, n):
+    """The integer product tree gives the value of the Fraction sum, or the
+    same PoleInFormula (same k, f checked before h2)."""
+    assert outcome(euler_partial_value, t, n) == outcome(reference_euler_partial_value, t, n)
 
 
 def test_build_euler_cf_trivial():

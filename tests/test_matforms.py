@@ -41,6 +41,9 @@ from polycf import (
     trivial_triple,
 )
 
+from _reference import outcome, reference_rederive_euler_sum, reference_triangular_product
+from _strategies import small_fractions, trivial_pairs
+
 X = Poly.x()
 ONE = Poly.one()
 
@@ -296,6 +299,22 @@ def test_triangular_product_rejections():
     assert triangular_product([Mat2(2, 1, 0, 0)], 2) == Mat2(2, 1, 0, 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(st.tuples(small_fractions, small_fractions, small_fractions), max_size=40),
+    lower=st.none() | st.integers(0, 39),
+    extra=st.integers(-2, 2),
+)
+def test_triangular_product_matches_one_pass(entries, lower, extra):
+    """The product tree gives the one-pass product, or the same error for a
+    lower-left entry, a short sequence or n < 1."""
+    terms = [Mat2(al, be, 0, ga) for al, be, ga in entries]
+    if lower is not None and lower < len(terms):
+        terms[lower] = Mat2(1, 1, 1, 1)
+    n = len(terms) + 1 + extra
+    assert outcome(triangular_product, terms, n) == outcome(reference_triangular_product, terms, n)
+
+
 # ---------------------------------------------------------------------------
 # the triangular route re-derives partial CF values
 # ---------------------------------------------------------------------------
@@ -325,3 +344,23 @@ def test_rederive_pole_guard():
     )
     with pytest.raises(InvalidInput):
         rederive_euler_sum(X + 1, X + 2, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=trivial_pairs(), n=st.integers(1, 301))
+def test_rederive_matches_fraction_pass_and_summation(pair, n):
+    """The scaled integer steps give the value of the Fraction pass over
+    T(i) and of the summation formula, or the same PoleInFormula."""
+    h1, h2 = pair
+    got = outcome(rederive_euler_sum, h1, h2, n)
+    assert got == outcome(reference_rederive_euler_sum, h1, h2, n)
+    assert got == outcome(euler_partial_value, trivial_triple(h1, h2), n - 1)
+
+
+def test_rederive_with_a_root_of_h1():
+    # h1(3) = 0 makes the triangular product singular, but z = corner/prod_g
+    # is defined: the CF truncates there
+    t = trivial_triple(X - 3, X + 1)
+    for n in range(1, 12):
+        assert rederive_euler_sum(X - 3, X + 1, n) == euler_partial_value(t, n - 1)
+    assert rederive_euler_sum(X - 3, X + 1, 4) == 2 == cf_value(CFSpec(b=t.b, a=t.a), 3)
