@@ -7,7 +7,10 @@ shared ground types:
 * ``Rat``       alias for :class:`fractions.Fraction`
 * ``INF``       the extra point for the extended rationals (Mobius arithmetic)
 * ``QuadSurd``  exact quadratic surds u + v*sqrt(d)
-* ``Poly``      dense univariate polynomials with Fraction coefficients
+* ``Poly``      dense univariate polynomials over Q, stored as int
+                numerators over one positive int denominator
+* ``horner``    the one Horner evaluation on ints, behind every Poly
+                evaluation and the integer kernels downstream
 * ``RatFunc``   reduced quotients of two polynomials
 
 plus the text grammar used by the command line tool and the rational-root
@@ -325,65 +328,128 @@ def sqrt_fraction(q: Fraction) -> QuadSurd:
 # ---------------------------------------------------------------------------
 
 
-class Poly:
-    """Dense univariate polynomial over Fraction, ascending coefficients.
+def horner(desc, p: int, q: int = 1) -> int:
+    """q^d H(p/q) by Horner's rule on ints, for the polynomial H of degree d
+    whose integer coefficients `desc` lists highest power first (the order
+    the rule consumes them: a Poly's numerators reversed, which loops over
+    many points reverse once).  With q = 1 this is H(p).  Every evaluation
+    of a Poly at an int or a Fraction runs here.
 
-    ``Poly(())`` is the zero polynomial; its ``degree`` is None rather than
-    any integer.  Instances are immutable and hashable.
+    >>> horner((34, 51, 27, 5), 1), horner((34, 51, 27, 5), 1, 2)
+    (117, 284)
+    """
+    acc = 0
+    if q == 1:
+        for c in desc:
+            acc = acc * p + c
+        return acc
+    qpow = 1
+    for c in desc:
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
+class Poly:
+    """Dense univariate polynomial over Q, ascending coefficients.
+
+    A Poly is stored as ``numerators``, a tuple of ints, over one positive
+    int ``denominator``, with no factor of the denominator left in common
+    with all the numerators, so equal polynomials have equal stored forms.
+    The ring operations, shifts and evaluation at ints and Fractions run on
+    these ints.  ``coeffs``, the tuple of Fraction coefficients, is built on
+    first use.
+
+    ``Poly(())`` is the zero polynomial (numerators ``()`` over 1); its
+    ``degree`` is None rather than any integer.  Instances are immutable and
+    hashable.
 
     >>> p = Poly([5, 27, 51, 34])
     >>> p.degree, p.lead
     (3, Fraction(34, 1))
     >>> divmod(p * p, p) == (p, Poly.zero())
     True
+    >>> q = p / 6
+    >>> q.numerators, q.denominator
+    ((5, 27, 51, 34), 6)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of the reduced denominators no prime of the
+        # denominator divides every numerator: the form is normalized
+        den = math.lcm(*(c.denominator for c in cs))
+        self.numerators = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.denominator = den
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, nums, den: int = 1) -> "Poly":
+        """nums/den for int numerators and a positive int den, normalized:
+        trailing zeros dropped and gcd(content, den) divided out."""
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        p = object.__new__(cls)
+        p.numerators, p.denominator, p._coeffs = tuple(nums), den, None
+        return p
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return cls._make(())
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._make((1,))
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((rat(c),))
+        c = rat(c)
+        return cls._make((c.numerator,), c.denominator)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls._make((0, 1))
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Fractions, ascending."""
+        if self._coeffs is None:
+            den = self.denominator
+            self._coeffs = tuple(Fraction(c, den) for c in self.numerators)
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree as int, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.numerators) - 1 if self.numerators else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k; zero outside range (negative k included)."""
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.numerators):
             return self.coeffs[k]
         return Fraction(0)
 
@@ -394,20 +460,27 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((other,))
+            return Poly._make((other.numerator,), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly([self.coeff(i) + o.coeff(i) for i in range(n)])
+        a, da, b, db = self.numerators, self.denominator, o.numerators, o.denominator
+        if da != db:
+            a, b = [c * db for c in a], [c * da for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly._make(out, da if da == db else da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -425,15 +498,22 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
+        a, b = self.numerators, o.numerators
+        if not a or not b:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if b == (1,) and o.denominator == 1:
+            return self
+        if a == (1,) and self.denominator == 1:
+            return o
+        if len(b) == 1:
+            out = [c * b[0] for c in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, e in enumerate(b, i):
+                        out[j] += c * e
+        return Poly._make(out, self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -450,24 +530,43 @@ class Poly:
         return acc
 
     def __divmod__(self, other):
+        """Division with remainder over Q, as a pseudo-division on ints:
+        each step scales the running remainder just enough that its top
+        coefficient is a multiple of the divisor's, keeping
+        scale * N = quo * M + rem for the numerators N of self and M of
+        other."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, o.degree
+        rem, M = list(self.numerators), o.numerators
+        dn, dd = len(rem) - 1, len(M) - 1
         if dn < dd:
             return Poly.zero(), self
-        q = [Fraction(0)] * (dn - dd + 1)
-        inv = 1 / o.lead
+        lead = M[-1]
+        quo = [0] * (dn - dd + 1)
+        scale = 1
         for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * inv
-            q[k] = c
-            if c:
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(q), Poly(rem[:dd])
+            c = rem[k + dd]
+            if not c:
+                continue
+            g = math.gcd(c, lead)
+            fac, c = lead // g, c // g
+            if fac != 1:
+                rem = [r * fac for r in rem]
+                quo = [q * fac for q in quo]
+                scale *= fac
+            quo[k] = c
+            for j, m in enumerate(M, k):
+                rem[j] -= c * m
+        # self = (quo E / (scale D)) other + rem / (scale D)
+        den = scale * self.denominator
+        E = o.denominator if den > 0 else -o.denominator
+        return (
+            Poly._make([q * E for q in quo], abs(den)),
+            Poly._make(rem[:dd] if den > 0 else [-r for r in rem[:dd]], abs(den)),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -479,15 +578,25 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return Poly([c / rat(other) for c in self.coeffs])
+            num, den = other.numerator, other.denominator
+            if num < 0:
+                num, den = -num, -den
+            return Poly._make([c * den for c in self.numerators], self.denominator * num)
         return NotImplemented
 
     # -- evaluation and reindexing --------------------------------------
 
     def __call__(self, v):
-        """Evaluate by Horner's rule.  Accepts Fraction/int or another Poly
-        (composition); any value supporting * and + works."""
-        if not self.coeffs:
+        """Evaluate by Horner's rule: on ints (see horner) at an int or a
+        Fraction, giving a Fraction; on the Fraction coefficients at another
+        Poly (composition) or any value supporting * and +."""
+        nums = self.numerators
+        if isinstance(v, (int, Fraction)):
+            p, q = v.numerator, v.denominator
+            if q == 1:
+                return Fraction(horner(nums[::-1], p), self.denominator)
+            return Fraction(horner(nums[::-1], p, q), self.denominator * q ** max(len(nums) - 1, 0))
+        if not nums:
             return Fraction(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
@@ -495,13 +604,27 @@ class Poly:
         return acc
 
     def shift(self, k) -> "Poly":
-        """p.shift(k) is the polynomial x -> p(x + k)."""
-        if len(self.coeffs) <= 1:
+        """p.shift(k) is the polynomial x -> p(x + k).
+
+        A Taylor shift on ints: for k = s/t the numerators of t^d p(x + s/t)
+        in the variable t x come from repeated synthetic division by s.
+        """
+        nums = self.numerators
+        if len(nums) <= 1 or k == 0:
             return self
-        return self(Poly((rat(k), 1)))
+        k = rat(k)
+        s, t = k.numerator, k.denominator
+        d = len(nums) - 1
+        out = list(nums) if t == 1 else [c * t ** (d - i) for i, c in enumerate(nums)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                out[j] += s * out[j + 1]
+        if t != 1:
+            out = [c * t**j for j, c in enumerate(out)]
+        return Poly._make(out, self.denominator * t**d)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self.numerators)][1:], self.denominator)
 
     def monic(self) -> "Poly":
         return self / self.lead
@@ -512,13 +635,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.numerators == o.numerators and self.denominator == o.denominator
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -528,7 +651,7 @@ class Poly:
 
     def to_text(self, var: str = "n") -> str:
         """Canonical text form, descending powers; parses back exactly."""
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
@@ -784,32 +907,38 @@ def _divisors(n: int) -> list[int]:
 
 def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     """Rational roots of a nonzero p with multiplicities, keys in ascending
-    order, and the monic quotient of p by every (x - r)^m."""
-    # clear denominators to an integer polynomial
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+    order, and the monic quotient of p by every (x - r)^m.
+
+    Works on the integer numerators of p: a root s/t is tested by horner
+    and divided out as the integer factor (t x - s) by synthetic division
+    (exact, by Gauss's lemma)."""
+    desc = list(p.numerators[::-1])
     # strip the root at zero
     zmult = 0
-    while ints[0] == 0:
-        ints.pop(0)
+    while desc[-1] == 0:
+        desc.pop()
         zmult += 1
     found: dict[Fraction, int] = {Fraction(0): zmult} if zmult else {}
-    work = Poly(ints)
-    if len(ints) > 1:
-        a0, ad = abs(ints[0]), abs(ints[-1])
-        cands = set()
+    if len(desc) > 1:
+        a0, ad = abs(desc[-1]), abs(desc[0])
+        # candidates s/t in lowest terms, s | a0 and t | ad; the order they
+        # are tried in changes neither the multiplicities nor the quotient
+        dens = _divisors(ad)
         for num in _divisors(a0):
-            for d in _divisors(ad):
-                if math.gcd(num, d) == 1:
-                    cands.add(Fraction(num, d))
-                    cands.add(Fraction(-num, d))
-        for r in sorted(cands):
-            while work(r) == 0:
-                work = work // Poly((-r, 1))
-                found[r] = found.get(r, 0) + 1
-    return dict(sorted(found.items())), work.monic()
+            for t in dens:
+                if math.gcd(num, t) != 1:
+                    continue
+                for s in (num, -num):
+                    while horner(desc, s, t) == 0:
+                        # desc = (t x - s) * quotient, from the top down
+                        acc = 0
+                        for k in range(len(desc) - 1):
+                            acc = (desc[k] + s * acc) // t
+                            desc[k] = acc
+                        desc.pop()
+                        r = Fraction(s, t)
+                        found[r] = found.get(r, 0) + 1
+    return dict(sorted(found.items())), Poly._make(desc[::-1]).monic()
 
 
 def rational_roots(p: Poly) -> dict[Fraction, int]:

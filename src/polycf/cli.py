@@ -95,8 +95,15 @@ def _normalize_argv(argv: list) -> list:
 
 def decimal_string(q: Fraction, digits: int) -> str:
     """Decimal rendering of q truncated to `digits` places, no floats."""
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
+    return decimal_pair(q.numerator, q.denominator, digits)
+
+
+def decimal_pair(num: int, den: int, digits: int) -> str:
+    """decimal_string of num/den (den != 0) from the unreduced pair: the
+    truncated digits of |num|/|den| do not depend on a common factor, so no
+    gcd is taken."""
+    sign = "-" if (num < 0) != (den < 0) and num else ""
+    n, d = abs(num), abs(den)
     whole, rem = divmod(n, d)
     if digits == 0:
         return f"{sign}{whole}"
@@ -170,7 +177,7 @@ def _cmd_eval(args) -> list[str]:
         num, den = v.numerator, v.denominator
     lines = [f"{num}/{den}"]
     if args.digits:
-        lines.append(decimal_string(Fraction(num, den), args.digits))
+        lines.append(decimal_pair(num, den, args.digits))
     return lines
 
 

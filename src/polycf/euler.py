@@ -15,8 +15,8 @@ whose finite values have the closed form implemented in
 a = h1(x) + h2(x+1).
 
 The closed form is computed on integers.  With h1 = H1/D1, h2 = H2/D2 and
-f = F/Df (H1, H2, F integral, each D the lcm of the coefficient
-denominators), consecutive summands of its sum S have the ratio p/q with
+f = F/Df (H1, H2, F integral: each Poly's stored numerators over its stored
+denominator), consecutive summands of its sum S have the ratio p/q with
 
     p = F(k-1) H1(k) D2,   q = F(k+1) H2(k+1) D1,
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, rat, rational_roots
+from .algebra import INF, Poly, horner, rat, rational_roots
 from .errors import (
     DegenerateTerm,
     InvalidInput,
@@ -38,7 +38,7 @@ from .errors import (
     PoleInFormula,
     ZeroScaler,
 )
-from .mobius import CFSpec, _horner, _int_form, _leaves, _term, _tree_product
+from .mobius import CFSpec, _leaves, _term, _tree_product
 
 
 @dataclass(frozen=True)
@@ -210,19 +210,20 @@ def euler_partial_value(t: EulerTriple, n: int):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    (H1, D1), (H2, D2), (F, _) = (_int_form(p) for p in (t.h1, t.h2, t.f))
-    fv = [_horner(F, k) for k in range(n + 2)]
+    H1, H2, F = (p.numerators[::-1] for p in (t.h1, t.h2, t.f))
+    D1, D2 = t.h1.denominator, t.h2.denominator
+    fv = [horner(F, k) for k in range(n + 2)]
     for k, v in enumerate(fv):
         if v == 0:
             raise PoleInFormula(k, "f")
-    h2v = [None] + [_horner(H2, k) for k in range(1, n + 2)]
+    h2v = [None] + [horner(H2, k) for k in range(1, n + 2)]
     for k in range(1, n + 2):
         if h2v[k] == 0:
             raise PoleInFormula(k, "h2")
 
     def ratios():
         for k in range(1, n + 1):
-            yield fv[k - 1] * _horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
+            yield fv[k - 1] * horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
 
     # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d
     a, b, _, d = _tree_product(_leaves(ratios(), _ratio_step))

@@ -24,6 +24,7 @@ independent oracle, the generic recurrence analysis in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,37 +55,48 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
         raise ValueError("a, h1, h2 must be nonzero")
     da, d1, d2 = a.degree, h1.degree, h2.degree
     d = max(da, d1, d2)
-    A = a.coeff(d)
-    u, v = h1.coeff(d), h2.coeff(d)
+    # every formula is a ratio of terms linear in the coefficients (the
+    # quadratic's roots too), so one common integer scale L leaves it as is
+    L = math.lcm(a.denominator, h1.denominator, h2.denominator)
+    ca, c1, c2 = (
+        [c * (L // p.denominator) for c in p.numerators] for p in (a, h1, h2)
+    )
+
+    def at(cs: list, k: int) -> int:
+        return cs[k] if 0 <= k < len(cs) else 0
+
+    A = at(ca, d)
+    u, v = at(c1, d), at(c2, d)
     if A != u + v:
         return set()
-    a1, g1, g2 = a.coeff(d - 1), h1.coeff(d - 1), h2.coeff(d - 1)
+    a1, g1, g2 = at(ca, d - 1), at(c1, d - 1), at(c2, d - 1)
 
-    def keep(x: Fraction) -> set[int]:
+    def keep(num: int, den: int) -> set[int]:
+        x = Fraction(num, den)
         return {int(x)} if x.denominator == 1 and x >= 0 else set()
 
     if d1 == d and da == d and d2 < d:
         # h1 carries the lead of a
-        return keep((a1 - g1 - g2) / (-A))
+        return keep(a1 - g1 - g2, -A)
     if d2 == d and da == d and d1 < d:
         # h2 carries the lead of a; the shift in h2(x+1) adds d*A
-        return keep((a1 - g1 - g2 - d * A) / A)
+        return keep(a1 - g1 - g2 - d * A, A)
     if d1 == d and d2 == d and da < d:
         # opposite leads u = -v != 0
-        return keep((a1 - g1 - g2 - d * v) / (v - u))
+        return keep(a1 - g1 - g2 - d * v, v - u)
     if d1 == d and d2 == d and da == d:
         if u != v:
-            return keep((a1 - g1 - g2 - d * v) / (v - u))
+            return keep(a1 - g1 - g2 - d * v, v - u)
         # equal leads: the degree obeys a quadratic,
         # const + df*(g1 - g2 - d*v) - C(df,2)*A = 0 with A = 2u
-        a2, f1, f2 = a.coeff(d - 2), h1.coeff(d - 2), h2.coeff(d - 2)
-        shift2 = f2 + (d - 1) * g2 + Fraction(d * (d - 1), 2) * v
+        a2, f1, f2 = at(ca, d - 2), at(c1, d - 2), at(c2, d - 2)
+        shift2 = f2 + (d - 1) * g2 + d * (d - 1) // 2 * v
         qa = -u
         qb = (g1 - g2 - d * v) + u
         qc = a2 - f1 - shift2
         out: set[int] = set()
         disc = qb * qb - 4 * qa * qc
-        sq = rational_sqrt(disc)
+        sq = rational_sqrt(Fraction(disc))
         if sq is None:
             return out
         for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
@@ -156,10 +168,13 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
         # contribution of the unknown coefficient f_i
         basis.append(xi * a - xmi * h1 - xpi * h2s)
         xi, xmi, xpi = xi * x, xmi * xm1, xpi * xp1
-    rows = max((len(p.coeffs) for p in basis), default=0)
+    # column i holds the numerators of basis[i], that is basis[i] times its
+    # denominator D_i: w solves this system iff (D_i w_i) solves the one in
+    # the basis polynomials
+    rows = max(len(p.numerators) for p in basis)
     ncols = d_f + 1
-    m = [[basis[i].coeff(j) for i in range(ncols)] for j in range(rows)]
-    kernel = _kernel(m, ncols)
+    cols = [p.numerators + (0,) * (rows - len(p.numerators)) for p in basis]
+    kernel = _kernel([list(row) for row in zip(*cols)], ncols)
     if not kernel:
         return None
     pick = None
@@ -169,7 +184,7 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
             break
     if pick is None:
         pick = kernel[0]
-    f = Poly(pick).monic()
+    f = Poly([v * p.denominator for v, p in zip(pick, basis)]).monic()
     # exact verification, cheap and non-negotiable
     check = f * a - f.shift(-1) * h1 - f.shift(1) * h2s
     if not check.is_zero:
@@ -177,9 +192,16 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     return f
 
 
-def _kernel(m: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of a matrix over Q, via reduced row echelon form."""
-    rows = [row[:] for row in m if any(c != 0 for c in row)]
+def _kernel(m: list[list[int]], ncols: int) -> list[list[int]]:
+    """Kernel basis of an integer matrix, by fraction-free Gauss-Jordan
+    elimination.
+
+    Every row stays a nonzero multiple of the row that reduced row echelon
+    form over Q has at the same stage, so the pivots are the same and each
+    basis vector is a positive integer multiple of the RREF one (free
+    entry 1, pivot entries minus the reduced rows' entries).
+    """
+    rows = [row[:] for row in m if any(row)]
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -187,23 +209,26 @@ def _kernel(m: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        piv = rows[r]
+        p = piv[c]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
+                row = [v * p - f * w for v, w in zip(rows[i], piv)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
         if r == len(rows):
             break
     free = [c for c in range(ncols) if c not in pivot_cols]
+    scale = math.lcm(*(rows[i][pc] for i, pc in enumerate(pivot_cols)))
     basis = []
     for fc in sorted(free, reverse=True):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = scale
         for i, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[i][fc]
+            vec[pc] = -rows[i][fc] * scale // rows[i][pc]
         basis.append(vec)
     return basis
 
@@ -239,7 +264,8 @@ class IdentifyReport:
 
 
 def _poly_key(p: Poly):
-    return (len(p.coeffs), p.coeffs)
+    # ints and Fractions compare by value, so integral Polys skip coeffs
+    return (len(p.numerators), p.numerators if p.denominator == 1 else p.coeffs)
 
 def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
     """Search one monic decomposition; returns (solutions, rejections)."""
@@ -326,7 +352,7 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     for h1m, h2m in decomps:
         sols, rejs = _examine(a, b, h1m, h2m)
         for t in sols:
-            key = (t.h1.coeffs, t.h2.coeffs, t.f.coeffs)
+            key = (t.h1, t.h2, t.f)
             if key not in seen:
                 seen.add(key)
                 report.solutions.append(t)

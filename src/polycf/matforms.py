@@ -15,7 +15,8 @@ The Euler-family step matrix (0, -h1 h2; 1, h1 + h2(x+1)) has both
 structures explicitly, and the triangular route re-derives its partial
 values without touching convergent recurrences.  Its steps
 T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)) are multiplied on integers: with
-h1 = H1/D1 and h2 = H2/D2 (H1, H2 integral), the scaled step
+h1 = H1/D1 and h2 = H2/D2 (each Poly's stored int numerators over its stored
+denominator), the scaled step
 
     D1 D2 H2(i+1) T(i) = (H1(i) H2(i+1) D2, -H1(i) D2^2; 0, H2(i) H2(i+1) D1)
 
@@ -24,12 +25,13 @@ is integral, and the scalar factors cancel in corner/prod_g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, is_inf, rat
+from .algebra import Poly, RatFunc, horner, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
-from .mobius import Mat2, _horner, _int_form, _leaves, _tree_product
+from .mobius import Mat2, _leaves, _tree_product
 
 
 def _sym(x):
@@ -190,17 +192,32 @@ def cf_form_states(m: PolyMat2, n: int) -> list[Mat2]:
     """[P_0, ..., P_n] with P_0 = u(1) and P_k = P_{k-1} cfm(k).
 
     Column k of the original product: P_k = (p_k, p_{k+1}; q_k, q_{k+1})
-    where (p_j; q_j) = M(1) ... M(j) (1; 0).
+    where (p_j; q_j) = M(1) ... M(j) (1; 0).  The states are read that way,
+    from one running product of L M(j) on ints (L the lcm of the entries'
+    denominators) and scaled back by L^j.  Raises ZeroDivisionError at the
+    first k <= n where an entry of cfm has a pole.
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
-    cfm, u, init = to_cf_form(m)
-    states = [init]
-    cur = init
-    for k in range(1, n + 1):
-        cur = cur * cfm.eval_at(k)
-        states.append(cur)
-    return states
+    cfm, _, _ = to_cf_form(m)
+    poles = [e.den.numerators[::-1] for e in (cfm.b, cfm.d) if isinstance(e, RatFunc)]
+    L = math.lcm(*(e.denominator for e in m.entries))
+    A, B, C, D = ((e * L).numerators[::-1] for e in m.entries)
+    # columns (p_j, q_j) of L^j M(1) ... M(j), j = 0 .. n + 1
+    r0, r1, r2, r3 = 1, 0, 0, 1
+    cols = [(Fraction(1), Fraction(0))]
+    Lj = 1
+    for j in range(1, n + 2):
+        if j <= n and any(horner(den, j) == 0 for den in poles):
+            raise ZeroDivisionError(f"matrix entry has a pole at index {j}")
+        a, b, c, d = horner(A, j), horner(B, j), horner(C, j), horner(D, j)
+        r0, r1, r2, r3 = r0 * a + r1 * c, r0 * b + r1 * d, r2 * a + r3 * c, r2 * b + r3 * d
+        if L == 1:
+            cols.append((Fraction(r0), Fraction(r2)))
+        else:
+            Lj *= L
+            cols.append((Fraction(r0, Lj), Fraction(r2, Lj)))
+    return [Mat2(p, p1, q, q1) for (p, q), (p1, q1) in zip(cols, cols[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +365,18 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     """
     if n < 1:
         raise InvalidInput("n must be at least 1")
-    (H1, D1), (H2, D2) = _int_form(h1), _int_form(h2)
+    H1, H2 = h1.numerators[::-1], h2.numerators[::-1]
+    D1, D2 = h1.denominator, h2.denominator
     h2v = [None]
     for k in range(1, n + 1):
-        v = _horner(H2, k)
+        v = horner(H2, k)
         if v == 0:
             raise PoleInFormula(k, "h2")
         h2v.append(v)
 
     def steps():
         for i in range(1, n):
-            h1i = _horner(H1, i) * D2
+            h1i = horner(H1, i) * D2
             yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
     _, corner, _, prod_g = _tree_product(_leaves(steps(), _triangular_step))

@@ -14,8 +14,11 @@ kept unreduced so that the determinant identity
 holds on the raw integers; ``ConvergentState.reduced()`` gives lowest terms
 on demand.
 
-Deep states are computed on integers.  ``_cleared`` takes a CF with Poly
-coefficients to b -> L^2 b, a -> L a, where L is the lcm of the coefficient
+Deep states are computed on integers.  A Poly stores int numerators over
+one denominator (see polycf.algebra), and that form is the only coefficient
+reader here: ``CFSpec.terms`` evaluates a Poly with denominator 1 by
+``algebra.horner`` on its numerators, and ``_cleared`` takes a CF with Poly
+coefficients to b -> L^2 b, a -> L a, where L is the lcm of the two stored
 denominators (the constant-c equivalence transform), so its terms are
 integers and the value of the original K part is the cleared value over L.
 ``_tree_product`` is the one product kernel for deep states (binary
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import INF, Poly, QuadSurd, is_inf, rat, sqrt_fraction
+from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat, sqrt_fraction
 from .errors import InvalidInput, SingularMatrix
 
 
@@ -143,7 +146,7 @@ def _term(seq, pos: int, i: int):
     """Read one coefficient: Polys and callables see the index i, explicit
     sequences are consumed positionally; None signals exhaustion."""
     if isinstance(seq, Poly):
-        return seq(Fraction(i))
+        return seq(i)
     if isinstance(seq, (list, tuple)):
         if pos >= len(seq):
             return None
@@ -151,28 +154,6 @@ def _term(seq, pos: int, i: int):
     if callable(seq):
         return rat(seq(i))
     raise TypeError(f"cannot read a coefficient sequence from {type(seq).__name__}")
-
-
-def _int_coeffs(seq):
-    """Descending int coefficients of a Poly with integer coefficients, else
-    None: such a Poly is evaluated by Horner's rule on ints."""
-    if isinstance(seq, Poly) and all(c.denominator == 1 for c in seq.coeffs):
-        return [c.numerator for c in reversed(seq.coeffs)]
-    return None
-
-
-def _int_form(p: Poly) -> tuple[list, int]:
-    """(H, D) with p = H/D: D the lcm of p's coefficient denominators and H
-    the descending int coefficients of D p, for _horner."""
-    D = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_coeffs(p * D), D
-
-
-def _horner(cs: list, i: int) -> int:
-    v = 0
-    for c in cs:
-        v = v * i + c
-    return v
 
 
 @dataclass(frozen=True)
@@ -191,12 +172,15 @@ class CFSpec:
     def terms(self) -> Iterator[tuple]:
         """(b(i), a(i)) for i = start, start + 1, ...; ints for an integral
         Poly, Fractions otherwise."""
-        b_int, a_int = _int_coeffs(self.b), _int_coeffs(self.a)
+        b_int, a_int = (
+            s.numerators[::-1] if isinstance(s, Poly) and s.denominator == 1 else None
+            for s in (self.b, self.a)
+        )
         pos = 0
         while True:
             i = self.start + pos
-            bi = _term(self.b, pos, i) if b_int is None else _horner(b_int, i)
-            ai = _term(self.a, pos, i) if a_int is None else _horner(a_int, i)
+            bi = _term(self.b, pos, i) if b_int is None else horner(b_int, i)
+            ai = _term(self.a, pos, i) if a_int is None else horner(a_int, i)
             if bi is None or ai is None:
                 return
             yield bi, ai
@@ -273,11 +257,11 @@ def convergents(cf: CFSpec) -> Iterator[ConvergentState]:
 
 def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
     """(L, CFSpec(b=L^2 b, a=L a)) for Poly a and b, L the lcm of their
-    coefficient denominators; the value of cf is head + (cleared value)/L.
-    Any other CF comes back unchanged with L = 1."""
+    denominators; the value of cf is head + (cleared value)/L.  Any other CF
+    comes back unchanged with L = 1."""
     if not (isinstance(cf.a, Poly) and isinstance(cf.b, Poly)):
         return 1, cf
-    L = math.lcm(*(c.denominator for c in cf.a.coeffs + cf.b.coeffs))
+    L = math.lcm(cf.a.denominator, cf.b.denominator)
     return L, CFSpec(b=cf.b * (L * L), a=cf.a * L, start=cf.start)
 
 

@@ -20,17 +20,27 @@ denominators and multiplies in a product tree.  In the same way
 reference_euler_partial_value sums the closed form term by term, and
 reference_triangular_product / reference_rederive_euler_sum run the
 triangular route as one Fraction pass, where polycf multiplies scaled
-integer steps in a product tree.
+integer steps in a product tree.  reference_cf_form_states multiplies the
+companion matrices of the CF form state by state in Fractions, where polycf
+reads the states off one integer running product of the original matrix, and
+reference_kernel is the Fraction row reduction behind identify.solve_f, which
+polycf runs fraction-free on ints.
+
+RefPoly is the polynomial type as it was on Fraction coefficients, the
+oracle for polycf.algebra.Poly, which computes on int numerators over one
+denominator.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from polycf.algebra import INF, Poly, is_inf, rat, rational_sqrt
 from polycf.errors import InvalidInput, PoleInFormula, PolycfError
 from polycf.limits import LimitEstimate
+from polycf.matforms import to_cf_form
 from polycf.mobius import CFSpec, ConvergentState, Mat2, convergents
 
 
@@ -309,6 +319,269 @@ def reference_rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     z = prod.b / prod.d
     u1inv = Mat2(h2_vals[1], 0, -1, 1 / h2_vals[1])
     return u1inv.apply(z)
+
+
+class RefPoly:
+    """polycf's Poly as it was on Fraction coefficients, kept as the oracle
+    for the integer-coefficient Poly: one Fraction per coefficient and the
+    textbook double loops.  Its repr reads ``Poly(...)`` as before."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "RefPoly":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "RefPoly":
+        return cls((1,))
+
+    @classmethod
+    def const(cls, c) -> "RefPoly":
+        return cls((rat(c),))
+
+    @classmethod
+    def x(cls) -> "RefPoly":
+        return cls((0, 1))
+
+    # -- structure ----------------------------------------------------
+
+    @property
+    def degree(self):
+        """Degree as int, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lead(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, k: int) -> Fraction:
+        """Coefficient of x**k; zero outside range (negative k included)."""
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return Fraction(0)
+
+    # -- ring operations ----------------------------------------------
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, RefPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RefPoly((other,))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = max(len(self.coeffs), len(o.coeffs))
+        return RefPoly([self.coeff(i) + o.coeff(i) for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.is_zero or o.is_zero:
+            return RefPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(o.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        acc = RefPoly.one()
+        base = self
+        while k:
+            if k & 1:
+                acc = acc * base
+            base = base * base
+            k >>= 1
+        return acc
+
+    def __divmod__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn, dd = len(rem) - 1, o.degree
+        if dn < dd:
+            return RefPoly.zero(), self
+        q = [Fraction(0)] * (dn - dd + 1)
+        inv = 1 / o.lead
+        for k in range(dn - dd, -1, -1):
+            c = rem[k + dd] * inv
+            q[k] = c
+            if c:
+                for j, b in enumerate(o.coeffs):
+                    rem[k + j] -= c * b
+        return RefPoly(q), RefPoly(rem[:dd])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return RefPoly([c / rat(other) for c in self.coeffs])
+        return NotImplemented
+
+    # -- evaluation and reindexing --------------------------------------
+
+    def __call__(self, v):
+        """Evaluate by Horner's rule.  Accepts Fraction/int or another RefPoly
+        (composition); any value supporting * and + works."""
+        if not self.coeffs:
+            return Fraction(0)
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * v + c
+        return acc
+
+    def shift(self, k) -> "RefPoly":
+        """p.shift(k) is the polynomial x -> p(x + k)."""
+        if len(self.coeffs) <= 1:
+            return self
+        return self(RefPoly((rat(k), 1)))
+
+    def derivative(self) -> "RefPoly":
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def monic(self) -> "RefPoly":
+        return self / self.lead
+
+    # -- misc -----------------------------------------------------------
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)!r})"
+
+    def __str__(self):
+        return self.to_text()
+
+    def to_text(self, var: str = "n") -> str:
+        """Canonical text form, descending powers; parses back exactly."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            elif mag == 1:
+                body = var if k == 1 else f"{var}^{k}"
+            else:
+                body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts)
+
+
+def reference_kernel(m: list, ncols: int) -> list:
+    """Kernel basis of a matrix over Q, via reduced row echelon form in
+    Fractions: one vector per free column, 1 there, minus the reduced
+    rows' entries at the pivots."""
+    rows = [row[:] for row in m if any(c != 0 for c in row)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in sorted(free, reverse=True):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -rows[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_cf_form_states(m, n: int) -> list:
+    """cf_form_states as the plain product P_k = P_{k-1} cfm(k) of Mat2s,
+    with cfm evaluated at every index (a pole raises ZeroDivisionError)."""
+    if n < 0:
+        raise InvalidInput("n must be nonnegative")
+    cfm, u, init = to_cf_form(m)
+    states = [init]
+    cur = init
+    for k in range(1, n + 1):
+        cur = cur * cfm.eval_at(k)
+        states.append(cur)
+    return states
 
 
 def outcome(fn, *args):

@@ -1,5 +1,8 @@
 """Hypothesis strategies shared by the kernel property tests.
 
+coeff_lists draws the raw coefficient lists behind polys, so that the same
+list can build both a Poly and the Fraction-coefficient _reference.RefPoly.
+
 poly_cfs draws polynomial CFs with small rational coefficients, the inputs
 on which the cleared product tree and the cleared stream are checked against
 the plain stream walks of _reference.  Three shapes are mixed in:
@@ -33,8 +36,13 @@ X = Poly.x()
 small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 
 
+def coeff_lists(max_degree: int):
+    """Ascending coefficient lists, trailing zeros included."""
+    return st.lists(small_fractions, max_size=max_degree + 1)
+
+
 def polys(max_degree: int):
-    return st.lists(small_fractions, max_size=max_degree + 1).map(Poly)
+    return coeff_lists(max_degree).map(Poly)
 
 
 def nonzero_polys(max_degree: int):

@@ -277,3 +277,131 @@ def test_assemble_factored_round_trip():
         c, blocks, res = factor_integer_rooted(p)
         full = assemble_factored(c, blocks + [(res, 1)])
         assert full == p
+
+
+# -- the integer-coefficient Poly against the Fraction reference ------------
+
+from _reference import RefPoly  # noqa: E402
+from _strategies import coeff_lists, small_fractions  # noqa: E402
+
+scalars = st.one_of(st.integers(-30, 30), small_fractions)
+nonzero_scalars = scalars.filter(lambda c: c != 0)
+
+
+def same(p, r) -> bool:
+    """p (a Poly) and r (a RefPoly) are the same polynomial, down to the
+    Fraction coefficients and the text forms; p's stored form is canonical."""
+    nums, den = p.numerators, p.denominator
+    canonical = den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1] != 0)
+    return (
+        isinstance(p, Poly)
+        and canonical
+        and p.coeffs == r.coeffs
+        and all(type(c) is F for c in p.coeffs)
+        and repr(p) == repr(r)
+        and str(p) == str(r)
+    )
+
+
+@given(coeff_lists(4), coeff_lists(4), scalars)
+@settings(max_examples=150, deadline=None)
+def test_poly_ring_ops_match_reference(a, b, c):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert same(p, rp) and same(q, rq)
+    assert same(p + q, rp + rq) and same(p - q, rp - rq) and same(p * q, rp * rq)
+    assert same(-p, -rp)
+    assert same(p + c, rp + c) and same(c + p, c + rp)
+    assert same(p - c, rp - c) and same(c - p, c - rp)
+    assert same(p * c, rp * c) and same(c * p, c * rp)
+
+
+@given(coeff_lists(4), coeff_lists(3), st.integers(0, 4), nonzero_scalars)
+@settings(max_examples=150, deadline=None)
+def test_poly_pow_divmod_div_monic_derivative_match_reference(a, b, k, c):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert same(p**k, rp**k)
+    assert same(p / c, rp / c) and same(p / -c, rp / -c)
+    assert same(p.derivative(), rp.derivative())
+    if rq.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            divmod(p, q)
+    else:
+        (quo, rem), (rquo, rrem) = divmod(p, q), divmod(rp, rq)
+        assert same(quo, rquo) and same(rem, rrem)
+        assert same(p // q, rp // rq) and same(p % q, rp % rq)
+        assert same(divmod(p, c)[0], divmod(rp, c)[0])
+    if rp.is_zero:
+        with pytest.raises(ValueError):
+            p.monic()
+    else:
+        assert same(p.monic(), rp.monic())
+
+
+@given(coeff_lists(5), st.integers(-6, 6), small_fractions)
+@settings(max_examples=150, deadline=None)
+def test_poly_shift_matches_reference(a, k, r):
+    p, rp = Poly(a), RefPoly(a)
+    assert same(p.shift(k), rp.shift(k))
+    assert same(p.shift(r), rp.shift(r))
+    assert same(p.shift(-r), rp.shift(-r))
+
+
+@given(coeff_lists(5), coeff_lists(2), st.integers(-50, 50), small_fractions)
+@settings(max_examples=150, deadline=None)
+def test_poly_evaluation_matches_reference(a, b, i, v):
+    p, rp = Poly(a), RefPoly(a)
+    for x in (i, v, F(i)):
+        got, want = p(x), rp(x)
+        assert type(got) is F and got == want
+    got, want = p(Poly(b)), rp(RefPoly(b))
+    if isinstance(want, RefPoly):
+        assert same(got, want)
+    else:
+        # a constant p composes to its Fraction coefficient, as before
+        assert type(got) is type(want) and got == want
+
+
+@given(coeff_lists(5))
+@settings(max_examples=100, deadline=None)
+def test_poly_structure_matches_reference(a):
+    p, rp = Poly(a), RefPoly(a)
+    assert p.coeffs == rp.coeffs and type(p.coeffs) is tuple
+    assert p.degree == rp.degree and p.is_zero == rp.is_zero and bool(p) == bool(rp)
+    for k in range(-2, len(a) + 3):
+        assert p.coeff(k) == rp.coeff(k) and type(p.coeff(k)) is F
+    if rp.is_zero:
+        with pytest.raises(ValueError):
+            p.lead
+    else:
+        assert p.lead == rp.lead and type(p.lead) is F
+    assert str(p) == str(rp) and repr(p) == repr(rp)
+    assert p.to_text("x") == rp.to_text("x")
+
+
+@given(coeff_lists(3), coeff_lists(3), scalars)
+@settings(max_examples=150, deadline=None)
+def test_poly_eq_hash_contract_matches_reference(a, b, c):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert (p == q) == (rp == rq) and (p != q) == (rp != rq)
+    if p == q:
+        assert hash(p) == hash(q)
+    # against int and Fraction constants, from both sides
+    assert (p == c) == (rp == c) and (c == p) == (c == rp)
+    assert (p != c) == (rp != c)
+    # equal polynomials reached by different routes hash equal
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    if c:
+        assert (p / c) * c == p and hash((p / c) * c) == hash(p)
+    assert (p + c) - c == p and hash((p + c) - c) == hash(p)
+
+
+def test_poly_zero_and_constants_compare_and_hash():
+    zero = Poly.zero()
+    assert Poly(()) == zero == Poly([0, F(0), 0]) == 0 == F(0)
+    assert hash(Poly([0, 0])) == hash(zero) and zero.denominator == 1
+    assert Poly.one() - 1 == zero and hash(Poly.one() - 1) == hash(zero)
+    assert Poly([F(1, 2)]) * 2 == Poly.one() == 1
+    assert hash(Poly([F(1, 2)]) * 2) == hash(Poly.one())
+    assert Poly.const(F(-3, 4)) == F(-3, 4) != Poly.x()
+    assert (Poly.x() == "x") is False
+    assert {Poly([1, 2]): 1}[Poly([F(2, 2), F(4, 2)])] == 1

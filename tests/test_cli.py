@@ -11,11 +11,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycf import CFSpec, cf_value, parse_poly
-from polycf.cli import _normalize_argv, decimal_string, main
+from polycf.cli import _normalize_argv, decimal_pair, decimal_string, main
 
-from _reference import e_ref
+from _reference import decimal_prefix, e_ref
 
 
 def run_cli(*args):
@@ -367,3 +369,35 @@ def test_decimal_string_truncates_toward_zero():
     assert decimal_string(Fraction(2, 3), 4) == "0.6666"
     assert decimal_string(Fraction(5, 2), 0) == "2"
     assert decimal_string(Fraction(1), 2) == "1.00"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(-(10**40), 10**40)),
+    st.integers(-(10**40), 10**40).filter(lambda d: d != 0),
+    st.integers(0, 30),
+    st.one_of(st.just(-1), st.integers(1, 10**30)),
+)
+def test_decimal_pair_renders_like_the_reduced_fraction(num, den, digits, scale):
+    """The unreduced pair, scaled by any common factor (a negative one
+    included), prints what decimal_string prints for the reduced value."""
+    want = decimal_string(Fraction(num, den), digits)
+    assert decimal_pair(num, den, digits) == want
+    assert decimal_pair(num * scale, den * scale, digits) == want
+    if digits:
+        assert want == decimal_prefix(Fraction(num, den), digits)
+
+
+def test_decimal_pair_on_huge_and_signed_pairs():
+    big = 10**5000
+    assert decimal_pair(-(3 * big + 3), 7 * big + 7, 20) == decimal_string(Fraction(-3, 7), 20)
+    assert decimal_pair(22 * big, -(7 * big), 0) == "-3"
+    assert decimal_pair(0, -big, 3) == "0.000"
+    assert decimal_pair(-1, 3, 4) == "-0.3333"
+
+
+def test_eval_digits_take_the_sign_from_the_denominator():
+    r = run_cli("eval", "--a", "-1", "--b", "1", "--depth", "1", "--digits", "3")
+    assert r.returncode == 0
+    assert r.stdout == "1/-1\n-1.000\n"
+    assert r.stderr == ""

@@ -34,9 +34,16 @@ from polycf.identify import (
     REASON_NO_DEGREE,
     REASON_NO_F,
     REASON_PATTERN,
+    _kernel,
 )
 
-from _reference import BetaTriple, reference_splits, split_key, three_term_degree_analysis
+from _reference import (
+    BetaTriple,
+    reference_kernel,
+    reference_splits,
+    split_key,
+    three_term_degree_analysis,
+)
 
 X = Poly.x()
 ONE = Poly.one()
@@ -317,3 +324,32 @@ def test_rejected_inputs():
         identify(X + 2, Poly.zero())
     with pytest.raises(InvalidInput):
         identify(X + 2, Poly.const(Fraction(-3)))
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, some rows repeated as sums of others so that
+    kernels of every dimension show up."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_kernel_vectors_are_positive_multiples_of_the_rref_ones(case):
+    """The fraction-free kernel gives, vector by vector, positive multiples
+    of the Fraction reduction's basis, so solve_f picks and normalizes the
+    same f."""
+    m, ncols = case
+    got = _kernel(m, ncols)
+    want = reference_kernel([[Fraction(v) for v in row] for row in m], ncols)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(type(v) is int for v in g)
+        j = next(i for i, v in enumerate(w) if v)
+        scale = g[j] / w[j]
+        assert scale > 0 and all(gv == scale * wv for gv, wv in zip(g, w))

@@ -41,8 +41,13 @@ from polycf import (
     trivial_triple,
 )
 
-from _reference import outcome, reference_rederive_euler_sum, reference_triangular_product
-from _strategies import small_fractions, trivial_pairs
+from _reference import (
+    outcome,
+    reference_cf_form_states,
+    reference_rederive_euler_sum,
+    reference_triangular_product,
+)
+from _strategies import nonzero_polys, polys, small_fractions, trivial_pairs
 
 X = Poly.x()
 ONE = Poly.one()
@@ -153,6 +158,43 @@ def test_cf_form_states_match_brute_force(a, b, c, d):
     for k, s in enumerate(states):
         assert (s.a, s.c) == cols[k]
         assert (s.b, s.d) == cols[k + 1]
+
+
+@st.composite
+def cf_form_matrices(draw) -> PolyMat2:
+    """Rational entries of degree <= 2; in the "pole" shape c(n) has a root
+    r in 1..10, which puts a pole at r into the CF form unless it cancels."""
+    a, b, d = draw(polys(2)), draw(polys(2)), draw(polys(2))
+    c = draw(nonzero_polys(2))
+    if draw(st.booleans()):
+        c = c * (X - draw(st.integers(1, 10)))
+    return PolyMat2(a, b, c, d)
+
+
+def states_or_pole(fn, m, n):
+    try:
+        return fn(m, n)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cf_form_matrices(), st.integers(0, 12))
+def test_cf_form_states_match_reference_product(m, n):
+    """The states read off the integer running product equal the Fraction
+    product of the CF-form matrices, and a pole raises at the same index."""
+    assert states_or_pole(cf_form_states, m, n) == states_or_pole(reference_cf_form_states, m, n)
+
+
+def test_cf_form_states_pole_and_depth_zero():
+    m = PolyMat2(X, 1, X - 3, 1)  # c(n+1)/c(n) = (n-2)/(n-3): a pole at 3
+    assert cf_form_states(m, 2) == reference_cf_form_states(m, 2)
+    with pytest.raises(ZeroDivisionError, match="pole at index 3"):
+        cf_form_states(m, 3)
+    half = PolyMat2(X / 2, Fraction(1, 3), X + Fraction(1, 2), 1)
+    assert cf_form_states(half, 0) == reference_cf_form_states(half, 0) == [
+        Mat2(1, Fraction(1, 2), 0, Fraction(3, 2))
+    ]
 
 
 def test_cf_form_rejections():
