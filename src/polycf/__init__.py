@@ -4,8 +4,10 @@ Construct continued fractions K b(i)/a(i) with polynomial coefficients,
 evaluate their convergents exactly, identify which of them arise from a
 three-term recurrence factorization (h1, h2, f), and derive closed forms
 (zeta combinations, Beta-integral values, quadratic surd limits) where the
-structure allows it.  Everything is exact: integers, Fractions, polynomials
-over Fractions, and quadratic surds.  No floating point.
+structure allows it.  Everything is exact: polynomials keep int numerators
+over one denominator, deep convergents and partial values are read straight
+off integer product trees, and results are Fractions, integer pairs or
+quadratic surds.  No floating point.
 """
 
 from .algebra import (

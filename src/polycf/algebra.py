@@ -333,7 +333,7 @@ def horner(desc, p: int, q: int = 1) -> int:
     whose integer coefficients `desc` lists highest power first (the order
     the rule consumes them: a Poly's numerators reversed, which loops over
     many points reverse once).  With q = 1 this is H(p).  Every evaluation
-    of a Poly at an int or a Fraction runs here.
+    of a Poly runs here; at a Poly, p is that Poly.
 
     >>> horner((34, 51, 27, 5), 1), horner((34, 51, 27, 5), 1, 2)
     (117, 284)
@@ -356,9 +356,9 @@ class Poly:
     A Poly is stored as ``numerators``, a tuple of ints, over one positive
     int ``denominator``, with no factor of the denominator left in common
     with all the numerators, so equal polynomials have equal stored forms.
-    The ring operations, shifts and evaluation at ints and Fractions run on
-    these ints.  ``coeffs``, the tuple of Fraction coefficients, is built on
-    first use.
+    The ring operations, shifts and evaluation (composition included) run
+    on these ints.  ``coeffs``, the tuple of Fraction coefficients, is built
+    on first use.
 
     ``Poly(())`` is the zero polynomial (numerators ``()`` over 1); its
     ``degree`` is None rather than any integer.  Instances are immutable and
@@ -587,21 +587,17 @@ class Poly:
     # -- evaluation and reindexing --------------------------------------
 
     def __call__(self, v):
-        """Evaluate by Horner's rule: on ints (see horner) at an int or a
-        Fraction, giving a Fraction; on the Fraction coefficients at another
-        Poly (composition) or any value supporting * and +."""
+        """Evaluate by Horner's rule on the int numerators (see horner): at
+        an int or a Fraction, giving a Fraction; at a Poly (composition),
+        giving a Poly, with the rule's products and sums taken on Polys."""
         nums = self.numerators
-        if isinstance(v, (int, Fraction)):
-            p, q = v.numerator, v.denominator
-            if q == 1:
-                return Fraction(horner(nums[::-1], p), self.denominator)
-            return Fraction(horner(nums[::-1], p, q), self.denominator * q ** max(len(nums) - 1, 0))
-        if not nums:
-            return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * v + c
-        return acc
+        if isinstance(v, Poly):
+            # _coerce: for the zero Poly horner gives the int 0
+            return Poly._coerce(horner(nums[::-1], v)) / self.denominator
+        p, q = v.numerator, v.denominator
+        if q == 1:
+            return Fraction(horner(nums[::-1], p), self.denominator)
+        return Fraction(horner(nums[::-1], p, q), self.denominator * q ** max(len(nums) - 1, 0))
 
     def shift(self, k) -> "Poly":
         """p.shift(k) is the polynomial x -> p(x + k).

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .matforms import (
     triangularize,
     PolyMat2,
 )
-from .mobius import CFSpec, constant_cf_limit, CFLimit, _state_at
+from .mobius import CFSpec, constant_cf_limit, CFLimit, _eval_pair
 
 
 def _poly_arg(text: str) -> Poly:
@@ -161,15 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> list[str]:
-    cf = CFSpec(b=args.b, a=args.a, head=args.head)
-    state = _state_at(cf, args.depth)
-    h = args.head
-    p, q = state.p, state.q
-    num = h.numerator * q + h.denominator * p
-    den = h.denominator * q
-    # rational coefficients make p and q Fractions: print an integer pair
-    scale = math.lcm(num.denominator, den.denominator)
-    num, den = int(num * scale), int(den * scale)
+    num, den = _eval_pair(CFSpec(b=args.b, a=args.a, head=args.head), args.depth)
     if den == 0:
         return ["inf"]
     if args.reduced:

@@ -58,7 +58,7 @@ class EulerTriple:
         for name in ("h1", "h2", "f"):
             p = getattr(self, name)
             if not isinstance(p, Poly) or p.is_zero:
-                raise ValueError(f"{name} must be a nonzero polynomial")
+                raise InvalidInput(f"{name} must be a nonzero polynomial")
         num = self.f.shift(-1) * self.h1 + self.f.shift(1) * self.h2.shift(1)
         q, r = divmod(num, self.f)
         if not r.is_zero:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, horner, is_inf, rat
+from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
 from .mobius import Mat2, _leaves, _tree_product
 
@@ -380,5 +380,10 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
             yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
     _, corner, _, prod_g = _tree_product(_leaves(steps(), _triangular_step))
-    h2_1 = Fraction(h2v[1], D2)
-    return Mat2(h2_1, 0, -1, 1 / h2_1).apply(Fraction(corner, prod_g))
+    # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
+    # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
+    H = h2v[1]
+    den = D2 * (D2 * prod_g - H * corner)
+    if den == 0:
+        return INF
+    return Fraction(H * H * corner, den)

@@ -36,9 +36,12 @@ few steps by their own plain recurrence:
 After k steps the cleared product (P'', P'; Q'', Q') of ``_tree_state`` is
 the stream's state k + 1 up to powers of L:
 
-    p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k,
+    p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k.
 
-so that p/q = P'/(L Q').
+Every deep result is read straight off these integers, and only this module
+knows their powers of L: ``cf_value`` takes p/q = P'/(L Q'),
+``product_apply`` acts by (L P'', P'; L^2 Q'', L Q'), the state times
+L^(k+1), and ``_eval_pair`` gives the CLI's integer pair.
 """
 
 from __future__ import annotations
@@ -358,25 +361,6 @@ def _scaled_value(state: ConvergentState, L: int):
     return Fraction(state.p, L * state.q)
 
 
-def _state_at(cf: CFSpec, depth: int) -> ConvergentState:
-    """The stream's state `depth` + 1 of cf (the truncated state when a zero
-    b comes first), computed on the cleared CF and scaled back."""
-    L, cleared = _cleared(cf)
-    state = _tree_state(cleared, depth)
-    if L == 1:
-        return state
-    k = state.n - 1 - state.truncated
-    Lk = L**k
-    return ConvergentState(
-        state.n,
-        Fraction(state.p_prev, Lk),
-        Fraction(state.p, Lk * L),
-        Fraction(state.q_prev * L, Lk),
-        Fraction(state.q, Lk),
-        state.truncated,
-    )
-
-
 def cf_value(cf: CFSpec, depth: int):
     """Exact value head + K_{i=start}^{start+depth-1} b(i)/a(i).
 
@@ -404,8 +388,27 @@ def product_apply(cf: CFSpec, depth: int, z):
     product_apply(cf, n, 0) equals the plain convergent at depth n, and a
     better tail seed z sharpens the estimate without changing exactness.
     """
-    state = _state_at(cf, depth)
-    return state.as_matrix().apply(z)
+    L, cleared = _cleared(cf)
+    s = _tree_state(cleared, depth)
+    return Mat2(L * s.p_prev, s.p, L * L * s.q_prev, L * s.q).apply(z)
+
+
+def _eval_pair(cf: CFSpec, depth: int) -> tuple:
+    """head + the depth-term convergent of cf (Poly a and b) as the integer
+    pair (num, den) that the CLI prints; den = 0 for a pole.
+
+    With the stream's p and q and the head h = u/v, the pair is u q + v p
+    over v q, scaled by the least factor that makes both integers.  On the
+    cleared state that is X = u L Q' + v P' over Y = v L Q', divided by
+    gcd(L^(k+1), X, Y); for integral a and b (L = 1) nothing is divided out.
+    """
+    L, cleared = _cleared(cf)
+    s = _tree_state(cleared, depth)
+    k = s.n - 1 - s.truncated
+    u, v = cf.head.numerator, cf.head.denominator
+    x, y = u * L * s.q + v * s.p, v * L * s.q
+    g = math.gcd(L ** (k + 1), x, y)
+    return x // g, y // g
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ split pick by pick rather than as running prefix products.
 reference_state_at and reference_numeric_limit are the oracles for the deep
 convergent kernel: they walk the plain convergent stream of the CF as given
 (Fraction arithmetic for rational coefficients), where polycf clears
-denominators and multiplies in a product tree.  In the same way
+denominators and multiplies in a product tree.  reference_eval_pair brings
+the stream's Fractions to the integer pair the CLI prints with an lcm, where
+polycf reads it off the cleared integer state.  In the same way
 reference_euler_partial_value sums the closed form term by term, and
 reference_triangular_product / reference_rederive_euler_sum run the
 triangular route as one Fraction pass, where polycf multiplies scaled
@@ -32,6 +34,7 @@ denominator.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -206,6 +209,17 @@ def reference_state_at(cf: CFSpec, depth: int) -> ConvergentState:
     raise InvalidInput(
         f"coefficient sequence exhausted after {last.n - 1} terms, needed {depth}"
     )
+
+
+def reference_eval_pair(cf: CFSpec, depth: int) -> tuple:
+    """head + the depth-term convergent as eval prints it: with h = u/v and
+    the stream's p and q from reference_state_at, u q + v p over v q, scaled
+    to integers by the lcm of the two reduced denominators."""
+    state = reference_state_at(cf, depth)
+    u, v = cf.head.numerator, cf.head.denominator
+    num, den = rat(u * state.q + v * state.p), rat(v * state.q)
+    scale = math.lcm(num.denominator, den.denominator)
+    return int(num * scale), int(den * scale)
 
 
 def reference_cf_value(cf: CFSpec, depth: int):

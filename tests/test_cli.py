@@ -5,16 +5,20 @@ normalization, parsing, formatting, and exit-code paths are exercised
 exactly as a user would hit them.
 """
 
+import io
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycf import CFSpec, cf_value, parse_poly
+from polycf import CFSpec, Poly, cf_value, parse_poly
 from polycf.cli import _normalize_argv, decimal_pair, decimal_string, main
 
 from _reference import decimal_prefix, e_ref
@@ -289,6 +293,76 @@ def test_triangularize_root_of_h1_truncates():
         "summation formula K_1^9 = 2",
         "agree: true",
     ]
+
+
+def test_triangularize_zero_h1_is_a_domain_error():
+    r = run_cli("triangularize", "--h1", "0", "--h2", "n", "--depth", "3")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: InvalidInput: h1 must be a nonzero polynomial\n"
+
+
+def _random_poly_text(rng, max_degree=2):
+    """A small polynomial with rational coefficients; one in five is 0."""
+    if rng.random() < 0.2:
+        return "0"
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, max_degree + 1))]
+    return Poly(coeffs).to_text()
+
+
+def _random_argv(rng):
+    """One call of a random subcommand; one in twenty has a bad token."""
+    poly = lambda d=2: _random_poly_text(rng, d)
+    cmd = rng.choice(["eval", "identify", "limit", "convert", "triangularize"])
+    if cmd == "eval":
+        argv = ["eval", "--a", poly(), "--b", poly(), "--depth", str(rng.randint(1, 40))]
+        if rng.random() < 0.5:
+            argv += ["--head", str(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))]
+        if rng.random() < 0.3:
+            argv.append("--reduced")
+        if rng.random() < 0.3:
+            argv += ["--digits", str(rng.randint(1, 20))]
+    elif cmd == "identify":
+        argv = ["identify", "--a", poly(3), "--b", poly(4)]
+    elif cmd == "limit":
+        argv = ["limit", "--a", poly(), "--b", poly(), "--eps", "1/1000"]
+        argv += ["--max-depth", str(rng.choice([8, 64, 256]))]
+        if rng.random() < 0.5:
+            argv.append("--closed-form")
+        if rng.random() < 0.3:
+            argv += ["--digits", str(rng.randint(1, 12))]
+    elif cmd == "convert":
+        argv = ["convert", "--matrix", ",".join(poly() for _ in range(4))]
+    else:
+        argv = ["triangularize", "--h1", poly(), "--h2", poly(), "--depth", str(rng.randint(1, 20))]
+    if rng.random() < 0.05:
+        argv[rng.randrange(1, len(argv))] = rng.choice(["n+", "", "0", "1/0", "x^"])
+    return argv
+
+
+def test_main_exit_contract_on_random_calls():
+    """Every subcommand on seeded random input: main returns 0 or 1 or
+    argparse exits with 2, no other exception escapes, and a domain error
+    (exit 1) prints its message on stderr and nothing on stdout."""
+    rng = random.Random(20231017)
+    codes = Counter()
+    for _ in range(400):
+        argv = _random_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: "), argv
+        codes[argv[0], code] += 1
+    # the draw reaches the success and domain-error exits of every subcommand
+    for cmd in ("eval", "identify", "limit", "convert", "triangularize"):
+        assert codes[cmd, 0] > 0
+    assert all(codes[cmd, 1] > 0 for cmd in ("identify", "limit", "convert", "triangularize"))
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")

@@ -26,9 +26,9 @@ from polycf import (
     product_apply,
     INF,
 )
-from polycf.mobius import _state_at
+from polycf.mobius import _cleared, _eval_pair, _tree_state
 
-from _reference import reference_cf_value, reference_state_at
+from _reference import reference_cf_value, reference_eval_pair, reference_state_at
 from _strategies import poly_cfs
 
 
@@ -188,6 +188,23 @@ def _fields(state):
     return (state.n, state.p_prev, state.p, state.q_prev, state.q, state.truncated)
 
 
+def _scaled_back(cf, depth):
+    """The fields of the tree state of the cleared cf after its k steps,
+    divided by the powers of L that the clearing puts on them."""
+    L, cleared = _cleared(cf)
+    s = _tree_state(cleared, depth)
+    k = s.n - 1 - s.truncated
+    Lk = L**k
+    return (
+        s.n,
+        Fraction(s.p_prev, Lk),
+        Fraction(s.p, Lk * L),
+        Fraction(s.q_prev * L, Lk),
+        Fraction(s.q, Lk),
+        s.truncated,
+    )
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type of the polycf error it raised."""
     try:
@@ -200,10 +217,18 @@ def _outcome(fn, *args):
 @given(poly_cfs(), st.integers(0, 300))
 def test_tree_state_matches_stream(cf, depth):
     want = reference_state_at(cf, depth)
-    assert _fields(_state_at(cf, depth)) == _fields(want)
+    assert _scaled_back(cf, depth) == _fields(want)
     assert cf_value(cf, depth) == reference_cf_value(cf, depth)
     for z in (Fraction(0), INF, Fraction(1, 3)):
         assert _outcome(product_apply, cf, depth, z) == _outcome(lambda: want.as_matrix().apply(z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_cfs(), st.integers(1, 300))
+def test_eval_pair_matches_the_lcm_of_the_stream_fractions(cf, depth):
+    got = _eval_pair(cf, depth)
+    assert got == reference_eval_pair(cf, depth)
+    assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("zero_at", [None, 20])
@@ -222,10 +247,10 @@ def test_tree_state_on_explicit_lists(depth, zero_at):
     except InvalidInput as exc:
         assert zero_at is None and depth > 40
         with pytest.raises(InvalidInput) as got:
-            _state_at(cf, depth)
+            _scaled_back(cf, depth)
         assert str(got.value) == str(exc) == f"coefficient sequence exhausted after 40 terms, needed {depth}"
     else:
-        assert _fields(_state_at(cf, depth)) == want
+        assert _scaled_back(cf, depth) == want
 
 
 def test_callable_degenerate_term_raises_at_the_same_term():
@@ -240,8 +265,8 @@ def test_callable_degenerate_term_raises_at_the_same_term():
     for depth in (18, 19, 20, 21):
         tree_calls, stream_calls = [], []
         tree, stream = CFSpec(b=b_at(tree_calls), a=Poly.x()), CFSpec(b=b_at(stream_calls), a=Poly.x())
-        got = _outcome(_state_at, tree, depth)
-        assert got == _outcome(reference_state_at, stream, depth)
+        got = _outcome(_scaled_back, tree, depth)
+        assert got == _outcome(lambda: _fields(reference_state_at(stream, depth)))
         assert (got is DegenerateTerm) == (depth >= 20)
         assert tree_calls == stream_calls == list(range(1, min(depth, 20) + 1))
 
