@@ -73,11 +73,13 @@ def is_inf(v) -> bool:
 # integer helpers (factoring, squarefree parts, exact square roots)
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24 with the fixed base set
+    # Miller-Rabin with the fixed prime bases 2 .. 41: deterministic for
+    # n < 3317044064679887385961981, the least strong pseudoprime to all of
+    # them; larger n get only a probable-prime answer
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -102,7 +104,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be composite and odd
+    # Floyd's cycle detection (tortoise and hare); n must be composite and odd
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

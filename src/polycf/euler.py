@@ -38,7 +38,7 @@ from .errors import (
     PoleInFormula,
     ZeroScaler,
 )
-from .mobius import CFSpec, _leaves, _term, _tree_product
+from .mobius import CFSpec, _term, _tree_product
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,9 @@ def euler_partial_value(t: EulerTriple, n: int):
         (f(1) h2(1) / f(0)) * (1 / S - 1),
         S = sum_{k=0}^{n} (f(0) f(1) / (f(k) f(k+1))) prod_{i=1}^{k} h1(i)/h2(i+1).
 
-    Raises PoleInFormula(k) when a needed f(k) (0 <= k <= n+1) or h2(k)
-    (1 <= k <= n+1) vanishes.  Returns INF when S = 0.
+    Raises InvalidInput when n < 0, and PoleInFormula(k) when a needed f(k)
+    (0 <= k <= n+1) or h2(k) (1 <= k <= n+1) vanishes.  Returns INF when
+    S = 0.
 
     >>> x = Poly.x()
     >>> euler_partial_value(trivial_triple(x, x + Fraction(1, 2)), 3)
@@ -209,7 +210,7 @@ def euler_partial_value(t: EulerTriple, n: int):
     Fraction(-727, 14315)
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidInput("n must be nonnegative")
     H1, H2, F = (p.numerators[::-1] for p in (t.h1, t.h2, t.f))
     D1, D2 = t.h1.denominator, t.h2.denominator
     fv = [horner(F, k) for k in range(n + 2)]
@@ -226,7 +227,7 @@ def euler_partial_value(t: EulerTriple, n: int):
             yield fv[k - 1] * horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
 
     # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d
-    a, b, _, d = _tree_product(_leaves(ratios(), _ratio_step))
+    a, b, _, d = _tree_product(ratios(), _ratio_step)
     if a + b == 0:
         return INF
     return Fraction(fv[1] * h2v[1] * (d - a - b), fv[0] * D2 * (a + b))

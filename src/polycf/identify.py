@@ -52,7 +52,7 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
     empty set, as do non-integer or negative formula values.
     """
     if a.is_zero or h1.is_zero or h2.is_zero:
-        raise ValueError("a, h1, h2 must be nonzero")
+        raise InvalidInput("a, h1, h2 must be nonzero")
     da, d1, d2 = a.degree, h1.degree, h2.degree
     d = max(da, d1, d2)
     # every formula is a ratio of terms linear in the coefficients (the
@@ -115,7 +115,7 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
     "irrational leading split").
     """
     if a.is_zero or b.is_zero:
-        raise ValueError("a and b must be nonzero")
+        raise InvalidInput("a and b must be nonzero")
     d1, d2 = degree_pattern
     da = a.degree
     A, B = a.lead, b.lead

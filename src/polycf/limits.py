@@ -289,10 +289,6 @@ def _prefix_power_sum(alpha: int, s: int) -> Fraction:
     return sum((Fraction(1, j**s) for j in range(1, alpha)), Fraction(0))
 
 
-def _harmonic(m: int) -> Fraction:
-    return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
-
-
 def telescoping_zeta_sum(t: EulerTriple) -> ZetaCombo:
     """Sum the Euler series of a telescoping triple in closed form.
 
@@ -314,11 +310,9 @@ def telescoping_zeta_sum(t: EulerTriple) -> ZetaCombo:
     if total_residue != 0:
         return ZetaCombo(Fraction(0), {}, ZetaCombo.DIVERGENT, residue=total_residue)
     for (alpha, order), c in sorted(terms.items()):
-        if order == 1:
-            const -= c * _harmonic(alpha - 1)
-        else:
+        if order > 1:
             zeta[order] = zeta.get(order, 0) + c
-            const -= c * _prefix_power_sum(alpha, order)
+        const -= c * _prefix_power_sum(alpha, order)
     zeta = {k: v for k, v in zeta.items() if v != 0}
     return ZetaCombo(const, zeta, ZetaCombo.EXACT)
 

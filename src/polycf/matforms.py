@@ -21,6 +21,11 @@ denominator), the scaled step
     D1 D2 H2(i+1) T(i) = (H1(i) H2(i+1) D2, -H1(i) D2^2; 0, H2(i) H2(i+1) D1)
 
 is integral, and the scalar factors cancel in corner/prod_g.
+
+Both triangular products run ``mobius._tree_product`` with the leaf step
+``_triangular_step``: ``rederive_euler_sum`` on these scaled steps, and
+``triangular_product`` on the (alpha, beta, gamma) that ``_upper_steps``
+reads for it and for ``triangular_product_at_zero``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
-from .mobius import Mat2, _leaves, _tree_product
+from .mobius import Mat2, _mat_mul, _tree_product
 
 
 def _sym(x):
@@ -78,14 +83,7 @@ class PolyMat2:
     def __mul__(self, other: "PolyMat2") -> "PolyMat2":
         if not isinstance(other, PolyMat2):
             return NotImplemented
-        a1, b1, c1, d1 = (_rf(e) for e in self.entries)
-        a2, b2, c2, d2 = other.entries
-        return PolyMat2(
-            _sym(a1 * a2 + b1 * c2),
-            _sym(a1 * b2 + b1 * d2),
-            _sym(c1 * a2 + d1 * c2),
-            _sym(c1 * b2 + d1 * d2),
-        )
+        return PolyMat2(*_mat_mul(tuple(_rf(e) for e in self.entries), other.entries))
 
     def shift(self, k) -> "PolyMat2":
         return PolyMat2(*(e.shift(k) for e in self.entries))
@@ -204,19 +202,18 @@ def cf_form_states(m: PolyMat2, n: int) -> list[Mat2]:
     L = math.lcm(*(e.denominator for e in m.entries))
     A, B, C, D = ((e * L).numerators[::-1] for e in m.entries)
     # columns (p_j, q_j) of L^j M(1) ... M(j), j = 0 .. n + 1
-    r0, r1, r2, r3 = 1, 0, 0, 1
+    r = (1, 0, 0, 1)
     cols = [(Fraction(1), Fraction(0))]
     Lj = 1
     for j in range(1, n + 2):
         if j <= n and any(horner(den, j) == 0 for den in poles):
             raise ZeroDivisionError(f"matrix entry has a pole at index {j}")
-        a, b, c, d = horner(A, j), horner(B, j), horner(C, j), horner(D, j)
-        r0, r1, r2, r3 = r0 * a + r1 * c, r0 * b + r1 * d, r2 * a + r3 * c, r2 * b + r3 * d
+        r = _mat_mul(r, (horner(A, j), horner(B, j), horner(C, j), horner(D, j)))
         if L == 1:
-            cols.append((Fraction(r0), Fraction(r2)))
+            cols.append((Fraction(r[0]), Fraction(r[2])))
         else:
             Lj *= L
-            cols.append((Fraction(r0, Lj), Fraction(r2, Lj)))
+            cols.append((Fraction(r[0], Lj), Fraction(r[2], Lj)))
     return [Mat2(p, p1, q, q1) for (p, q), (p1, q1) in zip(cols, cols[1:])]
 
 
@@ -294,32 +291,42 @@ def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
     return t, alpha
 
 
-def _mat_term(terms, i: int) -> Mat2:
-    if callable(terms):
-        return terms(i)
-    try:
-        return terms[i - 1]
-    except IndexError:
-        raise InvalidInput(f"matrix sequence exhausted at index {i}") from None
-
-
-def triangular_product(terms, n: int) -> Mat2:
-    """prod_{i=1}^{n-1} T(i) for upper triangular T, as a balanced product
-    tree (mobius._tree_product).
+def _upper_steps(terms, n: int):
+    """(alpha, beta, gamma) of each upper triangular T(i) = (alpha, beta;
+    0, gamma), i = 1 .. n-1.
 
     terms is a callable i -> Mat2 or a list (index i at position i-1).
     """
     if n < 1:
         raise InvalidInput("n must be at least 1")
+    for i in range(1, n):
+        if callable(terms):
+            t = terms(i)
+        else:
+            try:
+                t = terms[i - 1]
+            except IndexError:
+                raise InvalidInput(f"matrix sequence exhausted at index {i}") from None
+        if t.c != 0:
+            raise InvalidInput(f"matrix at index {i} is not upper triangular")
+        yield t.a, t.b, t.d
 
-    def blocks():
-        for i in range(1, n):
-            t = _mat_term(terms, i)
-            if t.c != 0:
-                raise InvalidInput(f"matrix at index {i} is not upper triangular")
-            yield (t.a, t.b, t.c, t.d)
 
-    return Mat2(*_tree_product(blocks()))
+def _triangular_step(leaf: tuple, step: tuple) -> tuple:
+    """leaf * (alpha, beta; 0, gamma) for an upper triangular leaf."""
+    a, b, _, d = leaf
+    alpha, beta, gamma = step
+    return (a * alpha, a * beta + b * gamma, 0, d * gamma)
+
+
+def triangular_product(terms, n: int) -> Mat2:
+    """prod_{i=1}^{n-1} T(i) for upper triangular T, as a balanced product
+    tree (mobius._tree_product) whose leaves are multiplied out by
+    _triangular_step.
+
+    terms is a callable i -> Mat2 or a list (index i at position i-1).
+    """
+    return Mat2(*_tree_product(_upper_steps(terms, n), _triangular_step))
 
 
 def triangular_product_at_zero(terms, n: int) -> Fraction:
@@ -328,26 +335,14 @@ def triangular_product_at_zero(terms, n: int) -> Fraction:
     Equals sum_{k=1}^{n-1} (beta_k / gamma_k) prod_{i=1}^{k-1}
     (alpha_i / gamma_i); needs every gamma_k nonzero (ZeroDiagonal).
     """
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
     ratio = Fraction(1)
     total = Fraction(0)
-    for k in range(1, n):
-        t = _mat_term(terms, k)
-        if t.c != 0:
-            raise InvalidInput(f"matrix at index {k} is not upper triangular")
-        if t.d == 0:
+    for k, (alpha, beta, gamma) in enumerate(_upper_steps(terms, n), 1):
+        if gamma == 0:
             raise ZeroDiagonal(f"zero lower diagonal entry at index {k}")
-        total += ratio * t.b / t.d
-        ratio *= t.a / t.d
+        total += ratio * beta / gamma
+        ratio *= alpha / gamma
     return total
-
-
-def _triangular_step(leaf: tuple, step: tuple) -> tuple:
-    """leaf * (alpha, beta; 0, gamma) for an upper triangular leaf."""
-    a, b, _, d = leaf
-    alpha, beta, gamma = step
-    return (a * alpha, a * beta + b * gamma, 0, d * gamma)
 
 
 def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
@@ -379,7 +374,7 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
             h1i = horner(H1, i) * D2
             yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
-    _, corner, _, prod_g = _tree_product(_leaves(steps(), _triangular_step))
+    _, corner, _, prod_g = _tree_product(steps(), _triangular_step)
     # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
     # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
     H = h2v[1]

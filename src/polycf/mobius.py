@@ -21,17 +21,20 @@ reader here: ``CFSpec.terms`` evaluates a Poly with denominator 1 by
 coefficients to b -> L^2 b, a -> L a, where L is the lcm of the two stored
 denominators (the constant-c equivalence transform), so its terms are
 integers and the value of the original K part is the cleared value over L.
-``_tree_product`` is the one product kernel for deep states (binary
-splitting): it multiplies 2x2 blocks in order, merging equal-sized
-neighbours, so that the large multiplications are between operands of equal
-size and only O(log depth) blocks are held.  Its callers build leaves of a
-few steps by their own plain recurrence:
+``_tree_product(steps, leaf_step)`` is the one product kernel for step
+products (binary splitting).  It multiplies leaves of a few steps by the
+caller's plain recurrence leaf_step, then merges equal-sized neighbouring
+blocks, so that the large multiplications are between operands of equal
+size and only O(log depth) blocks are held.  ``_mat_mul`` is the one 2x2
+product, used by the tree's merges, ``Mat2``, ``matforms.PolyMat2`` and
+``matforms.cf_form_states``.  The callers of the tree and their leaf steps:
 
 * ``_tree_state``, behind ``cf_value``, ``product_apply`` and the CLI's
   ``eval``, from the cleared companion steps (0, b; 1, a);
 * ``euler.euler_partial_value`` from the summand ratios of its closed form;
 * ``matforms.rederive_euler_sum`` from scaled integer triangular steps, and
-  ``matforms.triangular_product`` from its Mat2 terms.
+  ``matforms.triangular_product`` from the (alpha, beta, gamma) of its Mat2
+  terms, both by ``matforms._triangular_step``.
 
 After k steps the cleared product (P'', P'; Q'', Q') of ``_tree_state`` is
 the stream's state k + 1 up to powers of L:
@@ -87,12 +90,8 @@ class Mat2:
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        m, n = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
+        return Mat2(*_mat_mul(m, n))
 
     def inverse(self) -> "Mat2":
         det = self.det
@@ -274,43 +273,34 @@ _LEAF = 16
 
 
 def _mat_mul(m: tuple, n: tuple) -> tuple:
+    """The 2x2 product m n of row-major entries (a, b, c, d)."""
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _leaves(steps: Iterable, step) -> Iterator[tuple]:
-    """The leaves for _tree_product: blocks of _LEAF consecutive steps, each
-    multiplied out from the identity by leaf = step(leaf, s)."""
+def _tree_product(steps: Iterable, step) -> tuple:
+    """The product, left to right, of the step matrices of `steps`, as a
+    balanced tree of 2x2 blocks (a, b, c, d).
+
+    Each leaf is _LEAF consecutive steps multiplied out from the identity by
+    leaf = step(leaf, s).  Full leaves are pushed on a stack in order and
+    merged while the two top entries are products of equally many leaves (a
+    binary counter); the remaining entries are folded from the right into
+    the last, partial leaf at the end.  The empty product is the identity.
+    """
+    stack = []  # (leaves, product), counts strictly decreasing up the stack
     leaf, count = (1, 0, 0, 1), 0
     for s in steps:
         leaf, count = step(leaf, s), count + 1
         if count == _LEAF:
-            yield leaf
+            size, m = 1, leaf
+            while stack and stack[-1][0] == size:
+                below, left = stack.pop()
+                size, m = size + below, _mat_mul(left, m)
+            stack.append((size, m))
             leaf, count = (1, 0, 0, 1), 0
-    if count:
-        yield leaf
-
-
-def _tree_product(blocks: Iterable[tuple]) -> tuple:
-    """The product, left to right, of 2x2 blocks (a, b, c, d), as a balanced
-    tree.
-
-    Blocks are pushed on a stack in order and merged while the two top
-    entries are products of equally many blocks (a binary counter); the
-    remaining entries are folded from the right at the end.  The empty
-    product is the identity.
-    """
-    stack = []  # (count, product), counts strictly decreasing up the stack
-    for m in blocks:
-        size = 1
-        while stack and stack[-1][0] == size:
-            s, left = stack.pop()
-            size, m = size + s, _mat_mul(left, m)
-        stack.append((size, m))
-    if not stack:
-        return (1, 0, 0, 1)
-    m = stack.pop()[1]
+    m = leaf
     while stack:
         m = _mat_mul(stack.pop()[1], m)
     return m
@@ -346,7 +336,7 @@ def _tree_state(cf: CFSpec, depth: int) -> ConvergentState:
             steps += 1
             yield bi, ai
 
-    m = _tree_product(_leaves(terms(), _companion_step))
+    m = _tree_product(terms(), _companion_step)
     if steps < depth and not truncated:
         raise InvalidInput(
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"

@@ -29,6 +29,7 @@ from polycf.algebra import (
     squarefree_split,
     taylor_div,
 )
+from polycf.algebra import _is_probable_prime
 from polycf.errors import PolyParseError
 
 F = Fraction
@@ -406,3 +407,40 @@ def test_poly_zero_and_constants_compare_and_hash():
     assert Poly.const(F(-3, 4)) == F(-3, 4) != Poly.x()
     assert (Poly.x() == "x") is False
     assert {Poly([1, 2]): 1}[Poly([F(2, 2), F(4, 2)])] == 1
+
+
+# psi_12, the least strong pseudoprime to every prime base 2 .. 37
+PSI12 = 318665857834031151167461
+PSI12_FACTORS = (399165290221, 798330580441)
+
+
+def test_psi12_is_not_a_probable_prime():
+    assert PSI12 == PSI12_FACTORS[0] * PSI12_FACTORS[1]
+    assert not _is_probable_prime(PSI12)
+    assert all(_is_probable_prime(p) for p in PSI12_FACTORS)
+
+
+def test_factor_int_splits_psi12():
+    assert factor_int(PSI12) == {p: 1 for p in PSI12_FACTORS}
+
+
+def test_rational_roots_with_a_psi12_coefficient():
+    p, q = PSI12_FACTORS
+    roots = rational_roots(Poly([PSI12, -(p + q), 1]))
+    assert roots == {F(p): 1, F(q): 1}
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (10007 * 10009, {10007: 1, 10009: 1}),
+        (2**64 + 1, {274177: 1, 67280421310721: 1}),
+        (1000003**3, {1000003: 3}),
+    ],
+)
+def test_factor_int_with_only_large_prime_factors(n, expected):
+    # no prime factor is a trial divisor, so Pollard's rho finds them
+    factors = factor_int(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(_is_probable_prime(p) for p in factors)
+    assert factors == expected

@@ -475,3 +475,14 @@ def test_eval_digits_take_the_sign_from_the_denominator():
     assert r.returncode == 0
     assert r.stdout == "1/-1\n-1.000\n"
     assert r.stderr == ""
+
+
+def test_triangularize_pole_prints_inf_on_both_routes():
+    r = run_cli("triangularize", "--h1", "-n-1", "--h2", "n", "--depth", "2")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines()[2:] == [
+        "triangular route K_1^1 = inf",
+        "summation formula K_1^1 = inf",
+        "agree: true",
+    ]

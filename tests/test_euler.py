@@ -281,3 +281,8 @@ def test_solve_c_recurrence_closed_form():
 def test_solve_c_recurrence_pole():
     with pytest.raises(OrbitPole):
         solve_c_recurrence([-1], [1], 1, 1)
+
+
+def test_partial_value_rejects_negative_depth():
+    with pytest.raises(InvalidInput, match="n must be nonnegative"):
+        euler_partial_value(trivial_triple(X, X + 1), -1)

@@ -353,3 +353,10 @@ def test_kernel_vectors_are_positive_multiples_of_the_rref_ones(case):
         j = next(i for i, v in enumerate(w) if v)
         scale = g[j] / w[j]
         assert scale > 0 and all(gv == scale * wv for gv, wv in zip(g, w))
+
+
+def test_zero_polynomials_are_invalid_input():
+    with pytest.raises(InvalidInput, match="a, h1, h2 must be nonzero"):
+        candidate_degrees(Poly.zero(), X, X + 1)
+    with pytest.raises(InvalidInput, match="a and b must be nonzero"):
+        leading_coeff_split(X + 2, Poly.zero(), (1, 1))

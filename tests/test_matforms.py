@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from polycf import (
     CFSpec,
     EigenSeq,
+    INF,
     InvalidInput,
     Mat2,
     Poly,
@@ -406,3 +407,19 @@ def test_rederive_with_a_root_of_h1():
     for n in range(1, 12):
         assert rederive_euler_sum(X - 3, X + 1, n) == euler_partial_value(t, n - 1)
     assert rederive_euler_sum(X - 3, X + 1, 4) == 2 == cf_value(CFSpec(b=t.b, a=t.a), 3)
+
+
+def test_every_route_gives_inf_at_a_pole():
+    # h1 = -n-1, h2 = n: K_1^1 = b(1)/a(1) = 2/0
+    h1, h2 = -X - 1, X
+    t = trivial_triple(h1, h2)
+    assert rederive_euler_sum(h1, h2, 2) is INF
+    assert euler_partial_value(t, 1) is INF
+    assert cf_value(CFSpec(b=t.b, a=t.a), 1) is INF
+
+
+def test_triangular_product_of_a_callable():
+    def term(i):
+        return Mat2(i, 1, 0, i + 1)
+
+    assert triangular_product(term, 4) == Mat2(6, 18, 0, 24) == reference_triangular_product(term, 4)

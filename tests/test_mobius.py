@@ -339,3 +339,9 @@ def test_constant_classifier_matches_iteration():
             x = Fraction(B) / (A + x)
         gap = x - root.approx(30)
         assert abs(gap) < Fraction(1, 10**6)
+
+
+def test_cf_value_rejects_negative_depth():
+    cf = CFSpec(b=Poly.one(), a=Poly.one())
+    with pytest.raises(InvalidInput, match="depth must be nonnegative"):
+        cf_value(cf, -1)
