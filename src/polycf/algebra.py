@@ -745,6 +745,19 @@ def _parse_uint(sc: _Scanner) -> int:
     return int(tok[1])
 
 
+# The largest exponent parse_poly accepts: n^k allocates k + 1 coefficients,
+# so the bound is checked on the digits, before any allocation.
+MAX_EXPONENT = 10_000
+
+
+def _parse_exponent(sc: _Scanner) -> int:
+    tok = sc.expect("INT")
+    digits = tok[1].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise PolyParseError(tok[1], tok[2], sc.text)
+    return int(digits)
+
+
 def _parse_rational(sc: _Scanner) -> Fraction:
     tok = sc.expect("INT")
     num = int(tok[1])
@@ -775,7 +788,7 @@ def _parse_term(sc: _Scanner) -> Poly:
         power = 1
         if sc.peek()[0] == "^":
             sc.next()
-            power = _parse_uint(sc)
+            power = _parse_exponent(sc)
         out = [Fraction(0)] * power + [coeff]
         return Poly(out)
     if not have_coeff:
@@ -810,7 +823,8 @@ def parse_poly(text: str) -> Poly:
 
     Signed terms ``c``, ``c*n^k``, ``n^k``, ``n`` with integer or p/q
     coefficients; the ``*`` is optional and whitespace is ignored.  The index
-    variable is ``n``, with ``x`` accepted as a synonym.
+    variable is ``n``, with ``x`` accepted as a synonym.  An exponent k above
+    MAX_EXPONENT = 10000 raises PolyParseError at its token.
 
     >>> parse_poly("-n^2 + 3/2 n - 1") == Poly([-1, Fraction(3, 2), -1])
     True

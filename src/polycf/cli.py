@@ -34,7 +34,7 @@ from .matforms import (
     triangularize,
     PolyMat2,
 )
-from .mobius import CFSpec, constant_cf_limit, CFLimit, _eval_pair
+from .mobius import CFSpec, constant_cf_limit, CFLimit, _eval_pair, _fraction
 
 
 def _poly_arg(text: str) -> Poly:
@@ -164,7 +164,7 @@ def _cmd_eval(args) -> list[str]:
     if den == 0:
         return ["inf"]
     if args.reduced:
-        v = Fraction(num, den)
+        v = _fraction(num, den)
         num, den = v.numerator, v.denominator
     lines = [f"{num}/{den}"]
     if args.digits:

@@ -21,7 +21,8 @@ denominator), consecutive summands of its sum S have the ratio p/q with
     p = F(k-1) H1(k) D2,   q = F(k+1) H2(k+1) D1,
 
 so S = [A(1) ... A(n)](1; 1) for the steps A(k) = (p, q; 0, q), which
-mobius._tree_product multiplies as a balanced product tree.
+mobius._tree_product multiplies as a balanced product tree with the column
+(1, 1) as its tail.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     PoleInFormula,
     ZeroScaler,
 )
-from .mobius import CFSpec, _term, _tree_product
+from .mobius import CFSpec, _fraction, _term, _tree_product
 
 
 @dataclass(frozen=True)
@@ -199,6 +200,10 @@ def euler_partial_value(t: EulerTriple, n: int):
         (f(1) h2(1) / f(0)) * (1 / S - 1),
         S = sum_{k=0}^{n} (f(0) f(1) / (f(k) f(k+1))) prod_{i=1}^{k} h1(i)/h2(i+1).
 
+    Computed on integers: the product tree of the summand ratios (see the
+    module docstring) gives S as one integer pair, its tail keeping only
+    that column, and the value is reduced once by mobius._fraction.
+
     Raises InvalidInput when n < 0, and PoleInFormula(k) when a needed f(k)
     (0 <= k <= n+1) or h2(k) (1 <= k <= n+1) vanishes.  Returns INF when
     S = 0.
@@ -226,11 +231,12 @@ def euler_partial_value(t: EulerTriple, n: int):
         for k in range(1, n + 1):
             yield fv[k - 1] * horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
 
-    # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d
-    a, b, _, d = _tree_product(ratios(), _ratio_step)
-    if a + b == 0:
+    # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d; the tail (0, 1; 0, 1)
+    # gives the column (a + b, d) alone
+    _, s, _, d = _tree_product(ratios(), _ratio_step, (0, 1, 0, 1))
+    if s == 0:
         return INF
-    return Fraction(fv[1] * h2v[1] * (d - a - b), fv[0] * D2 * (a + b))
+    return _fraction(fv[1] * h2v[1] * (d - s), fv[0] * D2 * s)
 
 
 def solve_c_recurrence(b, a, c0, n: int) -> list[Fraction]:

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
-from .mobius import Mat2, _mat_mul, _tree_product
+from .mobius import _LAST_COLUMN, Mat2, _fraction, _mat_mul, _tree_product
 
 
 def _sym(x):
@@ -351,7 +351,9 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
 
     The product of T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)) applied to 0 is
     z = corner/prod_g, which U(1)^{-1} maps to the value.  The steps are
-    multiplied on integers, scaled as in the module docstring.  Must agree
+    multiplied on integers, scaled as in the module docstring, with the tail
+    (0, 0; 0, 1), so the tree computes only the column (corner, prod_g); the
+    value is reduced once by mobius._fraction.  Must agree
     with the summation formula for the same triple; n = 1 gives 0.  Raises
     PoleInFormula when h2 vanishes on 1..n.
 
@@ -374,11 +376,11 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
             h1i = horner(H1, i) * D2
             yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
-    _, corner, _, prod_g = _tree_product(steps(), _triangular_step)
+    _, corner, _, prod_g = _tree_product(steps(), _triangular_step, _LAST_COLUMN)
     # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
     # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
     H = h2v[1]
     den = D2 * (D2 * prod_g - H * corner)
     if den == 0:
         return INF
-    return Fraction(H * H * corner, den)
+    return _fraction(H * H * corner, den)

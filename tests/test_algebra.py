@@ -6,6 +6,7 @@ and frozen here before the implementation was written.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from polycf.algebra import (
     squarefree_split,
     taylor_div,
 )
-from polycf.algebra import _is_probable_prime
+from polycf.algebra import MAX_EXPONENT, _is_probable_prime
 from polycf.errors import PolyParseError
 
 F = Fraction
@@ -68,6 +69,22 @@ def test_parse_errors_name_token_and_position():
         parse_poly("2 3")
     with pytest.raises(PolyParseError):
         parse_poly("n^-1")
+
+
+@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 10**11])
+def test_parse_rejects_an_exponent_above_the_bound_before_allocating(exponent):
+    text = f"2n^{exponent} + 1"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolyParseError) as e:
+            parse_poly(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.value.token, e.value.pos) == (str(exponent), 3)
+    # n^(MAX_EXPONENT + 1) would hold at least 8 bytes per coefficient
+    assert peak < MAX_EXPONENT
+    assert parse_poly(f"n^{MAX_EXPONENT}").degree == parse_poly(f"n^00{MAX_EXPONENT}").degree == MAX_EXPONENT
 
 
 def test_shift_square_oracle():

@@ -88,6 +88,14 @@ def test_eval_rejects_malformed_polynomial():
     assert "unexpected token 'y'" in r.stderr
 
 
+@pytest.mark.parametrize("exponent", ["10001", "100000000000"])
+def test_eval_rejects_an_exponent_above_the_bound(exponent):
+    r = run_cli("eval", "--a", f"n^{exponent}", "--b", "n", "--depth", "3")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("usage:")
+    assert f"unexpected token '{exponent}' at position 2" in r.stderr
+
+
 def test_eval_requires_positive_depth():
     r = run_cli("eval", "--a", "1", "--b", "1", "--depth", "0")
     assert r.returncode == 2

@@ -26,7 +26,20 @@ from polycf import (
     product_apply,
     INF,
 )
-from polycf.mobius import _cleared, _eval_pair, _tree_state
+from polycf import mobius
+from polycf.mobius import (
+    _EXACT_DIV_BITS,
+    _LAST_COLUMN,
+    _LEAF,
+    _cleared,
+    _companion_step,
+    _eval_pair,
+    _exact_div,
+    _fraction,
+    _mat_mul,
+    _tree_product,
+    _tree_state,
+)
 
 from _reference import reference_cf_value, reference_eval_pair, reference_state_at
 from _strategies import poly_cfs
@@ -291,6 +304,102 @@ def test_product_apply_endpoints():
     # applying the tail value reproduces deeper truncations exactly
     tail = Fraction(1, 3)  # value of K_3^3 = 1/3
     assert product_apply(cf, 2, tail) == Fraction(4, 11)
+
+
+def test_product_apply_at_a_pole_of_the_action():
+    # z = -q/q_prev makes q_prev z + q vanish: the action sends z to INF
+    for cf in (
+        CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5")),
+        CFSpec(b=parse_poly("1/2n^2-n"), a=parse_poly("n+1/3")),
+    ):
+        for depth in (1, 2, 17, 40):
+            want = reference_state_at(cf, depth)
+            z = Fraction(-want.q, want.q_prev)
+            assert product_apply(cf, depth, z) is INF
+            assert want.as_matrix().apply(z) is INF
+            # and z shifted off the pole gives the stream's matrix action
+            assert product_apply(cf, depth, z + 1) == want.as_matrix().apply(z + 1)
+
+
+# --- the tree's tail and exact division ---
+
+
+def _companion_terms(count, seed):
+    rng = random.Random(seed)
+    return [(rng.randint(-9, 9) or 1, rng.randint(-9, 9)) for _ in range(count)]
+
+
+_TAILS = [(1, 0, 0, 1), _LAST_COLUMN, (0, 1, 0, 1), (0, 7, 0, -3), (0, 1, 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "count",
+    list(range(71)) + [_LEAF * 2**k + d for k in range(1, 6) for d in (-1, 1)],
+)
+def test_tree_product_times_tail(count):
+    terms = _companion_terms(count, count)
+    full = _tree_product(terms, _companion_step)
+    assert full == _tree_product(terms, _companion_step, (1, 0, 0, 1))
+    for tail in _TAILS:
+        assert _tree_product(terms, _companion_step, tail) == _mat_mul(full, tail)
+
+
+@pytest.mark.parametrize("leaves", [2, 4, 8, 32])
+def test_top_merge_multiplies_a_zero_first_column(monkeypatch, leaves):
+    # for 16 2^k steps the largest product of the tree, the top merge, is
+    # the one with the tail folded in: half its entry products are by 0
+    calls = []
+
+    def recording(m, n):
+        calls.append((m, n))
+        return _mat_mul(m, n)
+
+    def bits(m):
+        return max(abs(x).bit_length() for x in m)
+
+    steps = [(-(i**6), 34 * i**3 + 51 * i**2 + 27 * i + 5) for i in range(1, _LEAF * leaves + 1)]
+    monkeypatch.setattr(mobius, "_mat_mul", recording)
+    got = _tree_product(steps, _companion_step, _LAST_COLUMN)
+    top_left, top_right = max(calls, key=lambda c: min(bits(c[0]), bits(c[1])))
+    assert (top_right[0], top_right[2]) == (0, 0)
+    assert bits(top_left) > bits(got) // 3
+    assert got == _mat_mul(_tree_product(steps, _companion_step), _LAST_COLUMN)
+
+
+def _exact_div_cases():
+    """(n, d) with d | n: quotient and divisor sizes on both sides of the
+    crossover, both signs, divisors with large powers of 2."""
+    rng = random.Random(11)
+    big = _EXACT_DIV_BITS
+    sizes = [
+        (0, 1), (1, 1), (30, 50), (64, 20000), (65, 20000), (200, big - 1), (200, big),
+        (big // 2 - 2, big), (big // 2 - 1, big), (big // 2, big), (big, big), (3 * big, big),
+        (big // 4, 4 * big), (3 * big, 8 * big),
+    ]
+    for qbits, dbits in sizes:
+        for shift in (0, 1, 64, 2 * big):
+            q = rng.getrandbits(qbits) | (1 << qbits >> 1)
+            d = (rng.getrandbits(dbits) | (1 << dbits >> 1)) << shift
+            for sq, sd in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                yield sq * q * sd * d, sd * d
+
+
+def test_exact_division_matches_floor_division():
+    for n, d in _exact_div_cases():
+        assert _exact_div(n, d) == n // d
+
+
+def test_fraction_matches_the_constructor():
+    rng = random.Random(12)
+    for n, d in _exact_div_cases():
+        for g in (1, rng.getrandbits(_EXACT_DIV_BITS) | 1, 3 << (3 * _EXACT_DIV_BITS)):
+            got = _fraction(n * g, d * g)
+            assert type(got) is Fraction and got == Fraction(n * g, d * g)
+    # coprime long pairs, a zero numerator, Fraction entries
+    p, q = 2**(2 * _EXACT_DIV_BITS) + 1, 2**(2 * _EXACT_DIV_BITS)
+    assert _fraction(p, -q) == Fraction(p, -q)
+    assert _fraction(0, -q) == Fraction(0)
+    assert _fraction(Fraction(1, 2), 3) == Fraction(1, 6)
 
 
 # --- constant-coefficient classifier ---
