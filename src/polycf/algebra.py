@@ -740,13 +740,8 @@ class _Scanner:
         return tok
 
 
-def _parse_uint(sc: _Scanner) -> int:
-    tok = sc.expect("INT")
-    return int(tok[1])
-
-
-# The largest exponent parse_poly accepts: n^k allocates k + 1 coefficients,
-# so the bound is checked on the digits, before any allocation.
+# The largest exponent or multiplicity the parsers accept: n^k allocates
+# k + 1 coefficients, so the bound is checked on the digits, before any allocation.
 MAX_EXPONENT = 10_000
 
 
@@ -840,7 +835,8 @@ def parse_factored(text: str) -> tuple[Fraction, list[tuple[Poly, int]]]:
     ``(poly)^k`` blocks joined by ``*`` (the ``*`` is optional).
 
     Returns (constant, [(monic_block, multiplicity), ...]); block leading
-    coefficients are folded into the constant, equal blocks are merged.
+    coefficients and constant blocks are folded into the constant, equal
+    blocks are merged; a multiplicity above MAX_EXPONENT raises at its token.
 
     >>> c, blocks = parse_factored("-2*(n)^3*(2n-1)")
     >>> c
@@ -878,11 +874,11 @@ def parse_factored(text: str) -> tuple[Fraction, list[tuple[Poly, int]]]:
             mult = 1
             if sc.peek()[0] == "^":
                 sc.next()
-                mult = _parse_uint(sc)
+                mult = _parse_exponent(sc)
             if block.is_zero:
                 raise PolyParseError(")", tok[2], sc.text)
-            if mult > 0:
-                const *= block.lead ** mult
+            const *= block.lead ** mult
+            if mult > 0 and block.degree > 0:
                 raw.append((block.monic(), mult))
         else:
             raise PolyParseError(tok[1] or "end of input", tok[2], sc.text)

@@ -107,16 +107,6 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
     """
     if isinstance(r, (list, tuple)) and length is None:
         length = len(r)
-    if length is not None:
-        _check_length(r, length, "r")
-        bs, as_ = [], []
-        for i in range(1, length + 1):
-            ri = _term(r, i - 1, i)
-            if ri == -1:
-                raise DegenerateTerm(i)
-            bs.append(-ri)
-            as_.append(1 + ri)
-        return CFSpec(b=bs, a=as_)
 
     def b_of(i: int) -> Fraction:
         ri = _term(r, i - 1, i)
@@ -127,7 +117,11 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
     def a_of(i: int) -> Fraction:
         return 1 + _term(r, i - 1, i)
 
-    return CFSpec(b=b_of, a=a_of)
+    if length is None:
+        return CFSpec(b=b_of, a=a_of)
+    _check_length(r, length, "r")
+    indices = range(1, length + 1)
+    return CFSpec(b=[b_of(i) for i in indices], a=[a_of(i) for i in indices])
 
 
 def _check_length(seq, count: int, name: str) -> None:

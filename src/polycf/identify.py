@@ -324,7 +324,9 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
         raise InvalidInput("deg b must be at least 1")
     if factored is not None:
         const, blocks = factored
-        if assemble_factored(const, blocks) != b:
+        # degrees first (a zero block's None as 0): they bound the powers built
+        degree = sum((p.degree or 0) * m for p, m in blocks)
+        if degree != b.degree or assemble_factored(const, blocks) != b:
             raise InvalidInput("factored form does not multiply back to b")
     else:
         _, linear, residual = factor_integer_rooted(-b)

@@ -16,11 +16,12 @@ on demand.
 
 Deep states are computed on integers.  A Poly stores int numerators over
 one denominator (see polycf.algebra), and that form is the only coefficient
-reader here: ``CFSpec.terms`` evaluates a Poly with denominator 1 by
-``algebra.horner`` on its numerators, and ``_cleared`` takes a CF with Poly
-coefficients to b -> L^2 b, a -> L a, where L is the lcm of the two stored
-denominators (the constant-c equivalence transform), so its terms are
-integers and the value of the original K part is the cleared value over L.
+reader here: ``CFSpec.terms``, the one place where a term becomes an int,
+evaluates a Poly with denominator 1 by ``algebra.horner`` on its
+numerators, and ``_cleared`` takes a CF with Poly coefficients to
+b -> L^2 b, a -> L a, where L is the lcm of the two stored denominators
+(the constant-c equivalence transform), so its terms are integers and the
+value of the original K part is the cleared value over L.
 ``_tree_product(steps, leaf_step, tail)`` is the one product kernel for
 step products (binary splitting).  It multiplies leaves of a few steps by
 the caller's plain recurrence leaf_step, then merges equal-sized
@@ -34,10 +35,11 @@ is the one 2x2 product, used by the tree's merges, ``Mat2``,
 ``matforms.PolyMat2`` and ``matforms.cf_form_states``.  The callers of the
 tree, their leaf steps and their tails:
 
-* ``_tree_state``, from the cleared companion steps (0, b; 1, a): behind
-  ``cf_value`` and the CLI's ``eval`` with the tail (0, 0; 0, 1), which
-  keeps the column (P', Q'), and behind ``product_apply`` with the column
-  (L u, v) of its argument z = u/v ((L, 0) for INF);
+* ``_tree_state``, from the cleared companion steps (0, b; 1, a) by
+  ``_companion_step``, the stream's own step: behind the CLI's ``eval``
+  with the tail (0, 0; 0, 1), which keeps the column (P', Q'), and behind
+  ``product_apply`` (so ``cf_value``) with the column (L u, v) of its
+  argument z = u/v ((L, 0) for INF, (0, 1) for 0);
 * ``euler.euler_partial_value`` from the summand ratios of its closed form,
   with the tail (0, 1; 0, 1), which gives a + b and d of (a, b; 0, d);
 * ``matforms.rederive_euler_sum`` from scaled integer triangular steps,
@@ -48,10 +50,9 @@ tree, their leaf steps and their tails:
 ``_fraction(p, q)`` is the one reducer of deep integer pairs, behind
 ``ConvergentState.value``, ``cf_value``, ``product_apply``, the
 ``numeric_limit`` checkpoints, ``euler_partial_value``,
-``rederive_euler_sum`` and ``eval --reduced``.  A long int pair gets one
-gcd and two exact divisions by it (``_exact_div``, a 2-adic Newton inverse
-above a crossover in the operand sizes) before the public ``Fraction``
-constructor sees it.
+``rederive_euler_sum`` and ``eval --reduced``.  An int pair gets one gcd
+and two exact divisions by it (``_exact_div``, a 2-adic Newton inverse
+above a crossover in the operand sizes), and no second gcd in ``Fraction``.
 
 After k steps the cleared product (P'', P'; Q'', Q') of ``_tree_state`` is
 the stream's state k + 1 up to powers of L:
@@ -59,19 +60,21 @@ the stream's state k + 1 up to powers of L:
     p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k.
 
 Every deep result is read straight off these integers, and only this module
-knows their powers of L: ``cf_value`` takes p/q = P'/(L Q'),
-``product_apply`` acts by (L P'', P'; L^2 Q'', L Q'), the state times
-L^(k+1), so z = u/v goes to x/(L y) for the column (x, y) of the cleared
-product times (L u, v), and ``_eval_pair`` gives the CLI's integer pair.
+knows their powers of L: ``product_apply`` acts by (L P'', P'; L^2 Q'', L Q'),
+the state times L^(k+1), so z = u/v goes to x/(L y) for the column (x, y)
+of the cleared product times (L u, v), which at z = 0 is the convergent
+P'/(L Q') that ``cf_value`` reads, and ``_eval_pair`` gives the CLI's
+integer pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat, sqrt_fraction
 from .errors import InvalidInput, SingularMatrix
@@ -190,8 +193,8 @@ class CFSpec:
     head: Fraction = Fraction(0)
 
     def terms(self) -> Iterator[tuple]:
-        """(b(i), a(i)) for i = start, start + 1, ...; ints for an integral
-        Poly, Fractions otherwise."""
+        """(b(i), a(i)) for i = start, start + 1, ...: ints for integral
+        terms (by horner for an integral Poly), Fractions otherwise."""
         b_int, a_int = (
             s.numerators[::-1] if isinstance(s, Poly) and s.denominator == 1 else None
             for s in (self.b, self.a)
@@ -203,8 +206,19 @@ class CFSpec:
             ai = _term(self.a, pos, i) if a_int is None else horner(a_int, i)
             if bi is None or ai is None:
                 return
-            yield bi, ai
+            yield (bi.numerator if bi.denominator == 1 else bi,
+                   ai.numerator if ai.denominator == 1 else ai)
             pos += 1
+
+
+_IDENTITY = (1, 0, 0, 1)
+
+
+def _companion_step(leaf: tuple, term: tuple) -> tuple:
+    """leaf * (0, b; 1, a) by the convergent recurrence."""
+    p_prev, p, q_prev, q = leaf
+    b, a = term
+    return (p, a * p + b * p_prev, q, a * q + b * q_prev)
 
 
 @dataclass(frozen=True)
@@ -244,30 +258,23 @@ class ConvergentState:
 def convergents_from_terms(pairs: Iterable[tuple]) -> Iterator[ConvergentState]:
     """Stream convergent states from (b_i, a_i) pairs.
 
-    State 1 is the identity; consuming term i moves state i to state i+1 via
-    p_next = a_i p + b_i p_prev (same for q).  A zero b_i yields one final
-    state flagged truncated, then the stream ends: the CF value cannot change
-    past that point.
+    State 1 is the identity; consuming term i moves state i to state i+1 by
+    _companion_step, p_next = a_i p + b_i p_prev (same for q).  A zero b_i
+    yields one final state flagged truncated, then the stream ends: the CF
+    value cannot change past that point.
 
-    Arithmetic stays in plain ints while every term is integral (the common
-    case for polynomial CFs) and switches to Fraction otherwise.
+    Entries stay plain ints while every term is an int, as CFSpec.terms
+    gives integral terms; a Fraction term, even an integral one, makes
+    them Fractions.
     """
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    n = 1
-    yield ConvergentState(n, p_prev, p, q_prev, q)
-    for bi, ai in pairs:
-        if bi == 0:
-            yield ConvergentState(n + 1, p_prev, p, q_prev, q, truncated=True)
+    m = _IDENTITY
+    yield ConvergentState(1, *m)
+    for n, term in enumerate(pairs, 2):
+        if term[0] == 0:
+            yield ConvergentState(n, *m, truncated=True)
             return
-        if isinstance(bi, Fraction) and bi.denominator == 1:
-            bi = bi.numerator
-        if isinstance(ai, Fraction) and ai.denominator == 1:
-            ai = ai.numerator
-        p_prev, p = p, ai * p + bi * p_prev
-        q_prev, q = q, ai * q + bi * q_prev
-        n += 1
-        yield ConvergentState(n, p_prev, p, q_prev, q)
+        m = _companion_step(m, term)
+        yield ConvergentState(n, *m)
 
 
 def convergents(cf: CFSpec) -> Iterator[ConvergentState]:
@@ -289,7 +296,6 @@ def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
 # plain recurrence, which costs fewer products than a 2x2 product.
 _LEAF = 16
 
-_IDENTITY = (1, 0, 0, 1)
 # The tail that keeps the last column (p, q) of a state
 _LAST_COLUMN = (0, 0, 0, 1)
 
@@ -331,13 +337,6 @@ def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY) -> tuple:
     return m
 
 
-def _companion_step(leaf: tuple, term: tuple) -> tuple:
-    """leaf * (0, b; 1, a) by the convergent recurrence."""
-    p_prev, p, q_prev, q = leaf
-    b, a = term
-    return (p, a * p + b * p_prev, q, a * q + b * q_prev)
-
-
 def _tree_state(cf: CFSpec, depth: int, tail: tuple = _IDENTITY) -> ConvergentState:
     """State `depth` + 1 of the stream of cf, as a balanced product tree,
     with its matrix multiplied by `tail` (see _tree_product).
@@ -355,10 +354,6 @@ def _tree_state(cf: CFSpec, depth: int, tail: tuple = _IDENTITY) -> ConvergentSt
             if bi == 0:
                 truncated = True
                 return
-            if isinstance(bi, Fraction) and bi.denominator == 1:
-                bi = bi.numerator
-            if isinstance(ai, Fraction) and ai.denominator == 1:
-                ai = ai.numerator
             steps += 1
             yield bi, ai
 
@@ -409,19 +404,32 @@ def _exact_div(n: int, d: int) -> int:
     return q - (1 << k) if q >> (k - 1) else q
 
 
+class _Lowest:
+    """An int pair in lowest terms, denominator positive.  Fraction(x) copies
+    a numbers.Rational x without a gcd (CPython 3.6-3.13)."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_Lowest)
+
+
 def _fraction(p, q) -> Fraction:
     """Fraction(p, q), the one reducer of deep integer pairs.
 
-    An int pair long enough for _exact_div is reduced by one gcd and two
-    exact divisions before the public constructor sees it (which takes the
-    gcd of the reduced pair once more); any other pair goes straight to
-    Fraction.
+    An int pair is divided by its gcd, signed like q, by _exact_div and
+    handed over as a _Lowest; a pair with a Fraction entry goes to Fraction.
     """
-    ints = isinstance(p, int) and isinstance(q, int)
-    if ints and min(p.bit_length(), q.bit_length()) >= _EXACT_DIV_BITS:
-        g = math.gcd(p, q)
-        p, q = _exact_div(p, g), _exact_div(q, g)
-    return Fraction(p, q)
+    if not (isinstance(p, int) and isinstance(q, int)):
+        return Fraction(p, q)
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return Fraction(_Lowest(_exact_div(p, g), _exact_div(q, g)))
 
 
 def _scaled_value(state: ConvergentState, L: int):
@@ -445,11 +453,8 @@ def cf_value(cf: CFSpec, depth: int):
     >>> cf_value(CFSpec(b=Poly([0, Fraction(-1, 2), -1]), a=Poly([Fraction(3, 2), 2])), 3)
     Fraction(-123, 187)
     """
-    L, cleared = _cleared(cf)
-    v = _scaled_value(_tree_state(cleared, depth, _LAST_COLUMN), L)
-    if is_inf(v):
-        return INF
-    return cf.head + v
+    v = product_apply(cf, depth, 0)
+    return v if is_inf(v) else cf.head + v
 
 
 def product_apply(cf: CFSpec, depth: int, z):

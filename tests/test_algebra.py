@@ -159,6 +159,29 @@ def test_parse_factored_oracle():
         parse_factored("")
 
 
+@pytest.mark.parametrize("mult", [MAX_EXPONENT + 1, 10**11])
+def test_parse_factored_rejects_a_multiplicity_above_the_bound_before_allocating(mult):
+    text = f"(2n)^{mult}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolyParseError) as e:
+            parse_factored(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.value.token, e.value.pos) == (str(mult), 5)
+    # 2^(MAX_EXPONENT + 1) alone would take more than 1250 bytes
+    assert peak < MAX_EXPONENT
+    c, blocks = parse_factored(f"(2n)^{MAX_EXPONENT}")
+    assert c == 2**MAX_EXPONENT and [(str(b), m) for b, m in blocks] == [("n", MAX_EXPONENT)]
+
+
+def test_parse_factored_folds_constant_blocks_into_the_constant():
+    assert parse_factored("-(5)*(n)^2*1/5") == parse_factored("-(n)^2") == (F(-1), [(Poly.x(), 2)])
+    assert parse_factored("(5)^3(n+1)(1/2)^0") == (F(125), [(Poly([1, 1]), 1)])
+    assert parse_factored("(3)^2") == (F(9), [])
+
+
 def test_quad_surd_normalization_oracle():
     assert QuadSurd(2, 3, 4) == QuadSurd(8)          # sqrt(4) = 2
     assert QuadSurd(1, 1, 12) == QuadSurd(1, 2, 3)   # sqrt(12) = 2 sqrt(3)

@@ -164,6 +164,22 @@ def test_identify_factored_hint_happy_path():
     assert plain.stdout == hinted.stdout
 
 
+def test_identify_constant_hint_block_changes_nothing():
+    plain = run_cli("identify", "--a", "2n+1", "--b=-n^2", "--b-factored", "-(n)^2")
+    const = run_cli("identify", "--a", "2n+1", "--b=-n^2", "--b-factored", "-(5)*(n)^2*1/5")
+    assert plain.returncode == const.returncode == 0
+    assert const.stdout == plain.stdout
+    assert json.loads(const.stdout)["exhaustive"] is True
+
+
+def test_identify_hint_multiplicity_above_the_bound_is_a_usage_error():
+    r = run_cli("identify", "--a", "2n+1", "--b=-n^2", "--b-factored", "(2n)^100000000000")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage:")
+    assert "unexpected token '100000000000' at position 5" in r.stderr
+
+
 def test_limit_constant_cf_classifier():
     r = run_cli("limit", "--a", "1", "--b", "1")
     assert r.returncode == 0

@@ -287,6 +287,11 @@ def test_factored_hint_must_multiply_back():
         identify(X + 2, -(X**6), factored=parse_factored("-(n)^5"))
 
 
+def test_factored_hint_of_the_wrong_degree_fails_before_multiplying_out():
+    with pytest.raises(InvalidInput, match="factored form does not multiply back to b"):
+        identify(2 * X + 1, -(X**2), factored=parse_factored("(n+1)^10000"))
+
+
 def test_atomic_hint_block_narrows_the_search():
     """A quadratic hint block is taken as indivisible: splits through it are
     never tried and the report stops claiming exhaustiveness."""

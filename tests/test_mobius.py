@@ -1,5 +1,7 @@
 """Convergent engine and Mobius machinery."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -237,6 +239,17 @@ def test_tree_state_matches_stream(cf, depth):
 
 
 @settings(max_examples=150, deadline=None)
+@given(poly_cfs(), st.integers(0, 300))
+def test_cf_value_is_the_head_plus_product_apply_at_zero(cf, depth):
+    got = _outcome(cf_value, cf, depth)
+    k_part = _outcome(product_apply, cf, depth, 0)
+    if is_inf(k_part) or isinstance(k_part, type):
+        assert got is k_part
+    else:
+        assert got == cf.head + k_part
+
+
+@settings(max_examples=150, deadline=None)
 @given(poly_cfs(), st.integers(1, 300))
 def test_eval_pair_matches_the_lcm_of_the_stream_fractions(cf, depth):
     got = _eval_pair(cf, depth)
@@ -291,6 +304,22 @@ def test_integral_poly_terms_are_ints():
     assert all(type(b) is int and type(a) is int for b, a in terms)
     half = CFSpec(b=parse_poly("1/2n"), a=Poly.x())
     assert [b for (b, _), _ in zip(half.terms(), range(3))] == [Fraction(1, 2), 1, Fraction(3, 2)]
+
+
+def test_integral_list_and_callable_terms_are_ints():
+    # lists, callables and Polys with a denominator are read as Fractions;
+    # the integral ones reach the stream and the tree as ints
+    half = Fraction(1, 2)
+    for cf, want in (
+        (CFSpec(b=[2, Fraction(4, 2), half], a=[Fraction(3), 5, 7]), [(2, 3), (2, 5), (half, 7)]),
+        (CFSpec(b=lambda i: i if i < 3 else half, a=lambda i: Fraction(i * i)), [(1, 1), (2, 4), (half, 9)]),
+        (CFSpec(b=parse_poly("1/2n^2+1/2n"), a=parse_poly("1/2n")), [(1, half), (3, 1), (6, Fraction(3, 2))]),
+    ):
+        terms = list(itertools.islice(cf.terms(), 3))
+        assert terms == want
+        assert [type(x) for t in terms for x in t] == [type(x) for t in want for x in t]
+        for s in itertools.islice(convergents(CFSpec(b=cf.b, a=[1, 2])), 3):
+            assert all(type(x) is int for x in (s.p_prev, s.p, s.q_prev, s.q))
 
 
 # --- product_apply ---
@@ -400,6 +429,26 @@ def test_fraction_matches_the_constructor():
     assert _fraction(p, -q) == Fraction(p, -q)
     assert _fraction(0, -q) == Fraction(0)
     assert _fraction(Fraction(1, 2), 3) == Fraction(1, 6)
+
+
+def test_fraction_takes_one_gcd(monkeypatch):
+    calls = []
+    gcd = math.gcd
+
+    def counting(*args):
+        calls.append(len(args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting)
+    g = 3**5000
+    for p, q in ((6, -4), (7 * g, 2 * g), (2**(2 * _EXACT_DIV_BITS) + 1, -(2**(2 * _EXACT_DIV_BITS)))):
+        calls.clear()
+        got = _fraction(p, q)
+        assert calls == [2]
+        assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+        assert got * q == p
+    with pytest.raises(ZeroDivisionError):
+        _fraction(5, 0)
 
 
 # --- constant-coefficient classifier ---
