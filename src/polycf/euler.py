@@ -108,20 +108,17 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
     if isinstance(r, (list, tuple)) and length is None:
         length = len(r)
 
-    def b_of(i: int) -> Fraction:
+    def r_of(i: int) -> Fraction:
         ri = _term(r, i - 1, i)
         if ri == -1:
             raise DegenerateTerm(i)
-        return -ri
-
-    def a_of(i: int) -> Fraction:
-        return 1 + _term(r, i - 1, i)
+        return ri
 
     if length is None:
-        return CFSpec(b=b_of, a=a_of)
+        return CFSpec(b=lambda i: -r_of(i), a=lambda i: 1 + _term(r, i - 1, i))
     _check_length(r, length, "r")
-    indices = range(1, length + 1)
-    return CFSpec(b=[b_of(i) for i in indices], a=[a_of(i) for i in indices])
+    rs = [r_of(i) for i in range(1, length + 1)]
+    return CFSpec(b=[-ri for ri in rs], a=[1 + ri for ri in rs])
 
 
 def _check_length(seq, count: int, name: str) -> None:

@@ -14,9 +14,11 @@ the oracle for the splits polycf.identify.identify examines: it builds each
 split pick by pick rather than as running prefix products.
 
 reference_state_at and reference_numeric_limit are the oracles for the deep
-convergent kernel: they walk the plain convergent stream of the CF as given
-(Fraction arithmetic for rational coefficients), where polycf clears
-denominators and multiplies in a product tree.  reference_eval_pair brings
+convergent kernel and for the convergent stream: they walk the plain
+three-term recurrence, written out in reference_states, over the terms of the
+CF as given (Fraction arithmetic for rational coefficients), where polycf
+steps its own companion step, clears denominators and multiplies in a
+product tree.  reference_eval_pair brings
 the stream's Fractions to the integer pair the CLI prints with an lcm, where
 polycf reads it off the cleared integer state.  In the same way
 reference_euler_partial_value sums the closed form term by term, and
@@ -44,7 +46,7 @@ from polycf.algebra import INF, Poly, is_inf, rat, rational_sqrt
 from polycf.errors import InvalidInput, PoleInFormula, PolycfError
 from polycf.limits import LimitEstimate
 from polycf.matforms import to_cf_form
-from polycf.mobius import CFSpec, ConvergentState, Mat2, convergents
+from polycf.mobius import CFSpec, ConvergentState, Mat2
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +198,32 @@ def reference_splits(blocks) -> list:
     return sorted(splits, key=split_key)
 
 
+def reference_states(cf: CFSpec):
+    """The convergent states of cf by p_next = a p + b p_prev (the same for
+    q) from the identity; a zero b gives one final state flagged truncated."""
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    yield ConvergentState(1, p_prev, p, q_prev, q)
+    for n, (b, a) in enumerate(cf.terms(), 2):
+        if b == 0:
+            yield ConvergentState(n, p_prev, p, q_prev, q, truncated=True)
+            return
+        p_prev, p = p, a * p + b * p_prev
+        q_prev, q = q, a * q + b * q_prev
+        yield ConvergentState(n, p_prev, p, q_prev, q)
+
+
+def reference_value(state: ConvergentState):
+    """p/q of a state as a Fraction, or INF when q = 0."""
+    return INF if state.q == 0 else Fraction(state.p, state.q)
+
+
 def reference_state_at(cf: CFSpec, depth: int) -> ConvergentState:
     """State `depth` + 1 of the convergent stream of cf, walked step by step
     (the truncated state when a zero b comes first)."""
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
     last = None
-    for state in convergents(cf):
+    for state in reference_states(cf):
         last = state
         if state.n >= depth + 1 or state.truncated:
             return last
@@ -224,7 +245,7 @@ def reference_eval_pair(cf: CFSpec, depth: int) -> tuple:
 
 def reference_cf_value(cf: CFSpec, depth: int):
     """head + the depth-term convergent, or INF, from reference_state_at."""
-    v = reference_state_at(cf, depth).value
+    v = reference_value(reference_state_at(cf, depth))
     return INF if is_inf(v) else cf.head + v
 
 
@@ -240,14 +261,14 @@ def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitE
     last_val = None
     last_delta = None
     depth_seen = 0
-    for state in convergents(cf):
+    for state in reference_states(cf):
         depth = state.n - 1
         if state.truncated:
-            v = state.value
+            v = reference_value(state)
             value = cf.head + v if not is_inf(v) else v
             return LimitEstimate(value, Fraction(0), depth, LimitEstimate.ESTIMATED)
         if depth == checkpoint:
-            v = state.value
+            v = reference_value(state)
             if not is_inf(v):
                 val = cf.head + v
                 if prev is not None:

@@ -98,6 +98,24 @@ def test_degenerate_term_lazy():
         cf_value(cf, 4)
 
 
+def test_eager_form_reads_each_term_once_in_order():
+    calls = []
+
+    def r(i):
+        calls.append(i)
+        return Fraction(-1) if i == 4 else Fraction(1, i)
+
+    cf = euler_sum_to_cf(r, length=3)
+    assert calls == [1, 2, 3]
+    assert cf.b == [-1, Fraction(-1, 2), Fraction(-1, 3)]
+    assert cf.a == [2, Fraction(3, 2), Fraction(4, 3)]
+    calls.clear()
+    with pytest.raises(DegenerateTerm) as exc:
+        euler_sum_to_cf(r, length=6)
+    assert calls == [1, 2, 3, 4]
+    assert exc.value.index == 4
+
+
 # --- e oracles ---
 
 

@@ -239,17 +239,6 @@ def test_tree_state_matches_stream(cf, depth):
 
 
 @settings(max_examples=150, deadline=None)
-@given(poly_cfs(), st.integers(0, 300))
-def test_cf_value_is_the_head_plus_product_apply_at_zero(cf, depth):
-    got = _outcome(cf_value, cf, depth)
-    k_part = _outcome(product_apply, cf, depth, 0)
-    if is_inf(k_part) or isinstance(k_part, type):
-        assert got is k_part
-    else:
-        assert got == cf.head + k_part
-
-
-@settings(max_examples=150, deadline=None)
 @given(poly_cfs(), st.integers(1, 300))
 def test_eval_pair_matches_the_lcm_of_the_stream_fractions(cf, depth):
     got = _eval_pair(cf, depth)
