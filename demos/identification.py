@@ -1,8 +1,8 @@
 """From a CF's coefficient polynomials back to its summation form.
 
 Given b = -h1 h2 and a = f-weighted three-term data, the search walks
-every factored split of -b, runs the degree analysis, and solves a
-linear system for f.  Three worked inputs: one with a quadratic f, one
+every factored split of -b, runs the degree analysis, and solves for f
+by reducing the images of the powers of x by degree.  Three worked inputs: one with a quadratic f, one
 where every split dies (the leading split would need sqrt(1152)), and
 one CF that three different triples generate at once.
 """

@@ -8,8 +8,10 @@ with a polynomial f such that
 The search factors -b over the rationals, enumerates how the factor base can
 be split between h1 and h2, pins the two leading coefficients from the
 leading coefficients of a and b, bounds deg f by a three-term degree
-analysis, and then solves an exact linear system for f.  Everything is exact;
-every returned triple is re-verified against (a, b) before it is reported.
+analysis, and then solves for f by reducing the images of the powers of x
+under f -> f a - f(x-1) h1 - f(x+1) h2(x+1) by degree (:func:`solve_f`).
+Everything is exact; every returned triple is re-verified against (a, b)
+before it is reported.
 
 The splits are prefix products: each split (h1, h2) of the blocks so far is
 extended by (p^e, p^(m-e)) for the next block p^m, from one table of powers
@@ -48,8 +50,10 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
 
     Dispatches on the degree pattern of (a, h1, h2); coefficients are read
     at the fixed positions d, d-1, d-2 where d = max of the three degrees,
-    with missing positions as zero.  Patterns with no matching case give the
-    empty set, as do non-integer or negative formula values.
+    with missing positions as zero.  The empty set comes back when the x^d
+    coefficients of a, h1 and h2 do not balance, when h1 and h2 have equal
+    leads but the x^(d-1) coefficients do not balance either, and for
+    non-integer or negative formula values.
     """
     if a.is_zero or h1.is_zero or h2.is_zero:
         raise InvalidInput("a, h1, h2 must be nonzero")
@@ -84,26 +88,29 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
     if d1 == d and d2 == d and da < d:
         # opposite leads u = -v != 0
         return keep(a1 - g1 - g2 - d * v, v - u)
-    if d1 == d and d2 == d and da == d:
-        if u != v:
-            return keep(a1 - g1 - g2 - d * v, v - u)
-        # equal leads: the degree obeys a quadratic,
-        # const + df*(g1 - g2 - d*v) - C(df,2)*A = 0 with A = 2u
-        a2, f1, f2 = at(ca, d - 2), at(c1, d - 2), at(c2, d - 2)
-        shift2 = f2 + (d - 1) * g2 + d * (d - 1) // 2 * v
-        qa = -u
-        qb = (g1 - g2 - d * v) + u
-        qc = a2 - f1 - shift2
-        out: set[int] = set()
-        disc = qb * qb - 4 * qa * qc
-        sq = rational_sqrt(Fraction(disc))
-        if sq is None:
-            return out
-        for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
-            if root.denominator == 1 and root >= 0:
-                out.add(int(root))
+    # d1 == d2 == da == d: every other pattern fails A == u + v
+    if u != v:
+        return keep(a1 - g1 - g2 - d * v, v - u)
+    # equal leads: the x^(k+d-1) coefficient of the image of x^k is this
+    # constant for every k, so when it is nonzero no f exists
+    if a1 - g1 - g2 - d * v:
+        return set()
+    # otherwise the degree obeys a quadratic,
+    # const + df*(g1 - g2 - d*v) - C(df,2)*A = 0 with A = 2u
+    a2, f1, f2 = at(ca, d - 2), at(c1, d - 2), at(c2, d - 2)
+    shift2 = f2 + (d - 1) * g2 + d * (d - 1) // 2 * v
+    qa = -u
+    qb = (g1 - g2 - d * v) + u
+    qc = a2 - f1 - shift2
+    out: set[int] = set()
+    disc = qb * qb - 4 * qa * qc
+    sq = rational_sqrt(Fraction(disc))
+    if sq is None:
         return out
-    return set()
+    for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
+        if root.denominator == 1 and root >= 0:
+            out.add(int(root))
+    return out
 
 
 def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
@@ -133,7 +140,7 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
     if da < d1:
         # c1 = -c2, c1^2 = B
         s = rational_sqrt(B)
-        if s is None or s == 0:
+        if s is None:
             return [], REASON_IRRATIONAL
         return [(s, -s), (-s, s)], None
     # da == d1 == d2: c1, c2 are the roots of t^2 - A t - B
@@ -141,9 +148,8 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
     sq = rational_sqrt(disc)
     if sq is None:
         return [], REASON_IRRATIONAL
+    # the roots multiply to -B != 0, so neither is zero
     r1, r2 = (A + sq) / 2, (A - sq) / 2
-    if r1 == 0 or r2 == 0:
-        return [], REASON_PATTERN
     if r1 == r2:
         return [(r1, r2)], None
     return [(r1, r2), (r2, r1)], None
@@ -151,86 +157,44 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
 
 def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     """A nonzero polynomial f with deg f <= d_f solving
-    f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1), monic-normalized; None if the
-    only solution is zero.
+    f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1), monic; None if the only
+    solution is zero.
 
-    Solutions with f.coeff(d_f) != 0 are preferred when the kernel offers a
-    choice; the returned polynomial always satisfies the relation exactly.
+    The images L(x^i) = x^i a - (x-1)^i h1 - (x+1)^i h2(x+1), i = 0..d_f,
+    are reduced in order of i: while an image's degree is held, its lead is
+    cancelled with the image held there.  A nonzero remainder is held at its
+    degree; a zero one is the image of some g = x^i + (lower powers), a
+    solution.  The last g found is returned, which is the kernel vector of
+    the highest free column in reduced row echelon form, so solutions with
+    f.coeff(d_f) != 0 are preferred.  Outside one or two indicial roots the
+    images have distinct degrees and are held at once.  The returned
+    polynomial always satisfies the relation exactly.
     """
-    if d_f < 0:
-        return None
     h2s = h2.shift(1)
     x, xm1, xp1 = Poly.x(), Poly((-1, 1)), Poly((1, 1))
-    basis = []
+    # held[degree] = (L(g), g) for each reduced image kept so far
+    held: dict[int, tuple[Poly, Poly]] = {}
+    f = None
     # running powers x^i, (x-1)^i, (x+1)^i
     xi = xmi = xpi = Poly.one()
     for _ in range(d_f + 1):
-        # contribution of the unknown coefficient f_i
-        basis.append(xi * a - xmi * h1 - xpi * h2s)
+        image, g = xi * a - xmi * h1 - xpi * h2s, xi
+        while not image.is_zero and image.degree in held:
+            him, hg = held[image.degree]
+            c = image.lead / him.lead
+            image, g = image - him * c, g - hg * c
+        if image.is_zero:
+            f = g
+        else:
+            held[image.degree] = image, g
         xi, xmi, xpi = xi * x, xmi * xm1, xpi * xp1
-    # column i holds the numerators of basis[i], that is basis[i] times its
-    # denominator D_i: w solves this system iff (D_i w_i) solves the one in
-    # the basis polynomials
-    rows = max(len(p.numerators) for p in basis)
-    ncols = d_f + 1
-    cols = [p.numerators + (0,) * (rows - len(p.numerators)) for p in basis]
-    kernel = _kernel([list(row) for row in zip(*cols)], ncols)
-    if not kernel:
+    if f is None:
         return None
-    pick = None
-    for vec in kernel:
-        if vec[d_f] != 0:
-            pick = vec
-            break
-    if pick is None:
-        pick = kernel[0]
-    f = Poly([v * p.denominator for v, p in zip(pick, basis)]).monic()
     # exact verification, cheap and non-negotiable
     check = f * a - f.shift(-1) * h1 - f.shift(1) * h2s
     if not check.is_zero:
         raise AssertionError("solver produced a non-solution")
     return f
-
-
-def _kernel(m: list[list[int]], ncols: int) -> list[list[int]]:
-    """Kernel basis of an integer matrix, by fraction-free Gauss-Jordan
-    elimination.
-
-    Every row stays a nonzero multiple of the row that reduced row echelon
-    form over Q has at the same stage, so the pivots are the same and each
-    basis vector is a positive integer multiple of the RREF one (free
-    entry 1, pivot entries minus the reduced rows' entries).
-    """
-    rows = [row[:] for row in m if any(row)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        p = piv[c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                row = [v * p - f * w for v, w in zip(rows[i], piv)]
-                g = math.gcd(*row)
-                rows[i] = [v // g for v in row] if g > 1 else row
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    scale = math.lcm(*(rows[i][pc] for i, pc in enumerate(pivot_cols)))
-    basis = []
-    for fc in sorted(free, reverse=True):
-        vec = [0] * ncols
-        vec[fc] = scale
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[i][fc] * scale // rows[i][pc]
-        basis.append(vec)
-    return basis
 
 
 @dataclass(frozen=True)

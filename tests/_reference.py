@@ -27,8 +27,9 @@ triangular route as one Fraction pass, where polycf multiplies scaled
 integer steps in a product tree.  reference_cf_form_states multiplies the
 companion matrices of the CF form state by state in Fractions, where polycf
 reads the states off one integer running product of the original matrix, and
-reference_kernel is the Fraction row reduction behind identify.solve_f, which
-polycf runs fraction-free on ints.
+reference_solve_f solves for f as a dense linear system in reduced row echelon
+form (reference_kernel), where identify.solve_f reduces the images of the
+powers of x by degree.
 
 RefPoly is the polynomial type as it was on Fraction coefficients, the
 oracle for polycf.algebra.Poly, which computes on int numerators over one
@@ -158,7 +159,10 @@ def three_term_degree_analysis(bt: BetaTriple) -> set[int]:
         if df.denominator == 1 and df >= 0:
             out.add(int(df))
         return out
-    # cm1 == c1 (both nonzero: a zero would force all three to vanish at d)
+    # cm1 == c1 (both nonzero: a zero would force all three to vanish at d),
+    # so the x^(k+d-1) coefficient of the image of x^k does not depend on k
+    if sum(p.coeff(d - 1) for p in polys) != 0:
+        return set()
     s2 = cm1 + c1
     qa = s2 / 2
     qb = (polys[2].coeff(d - 1) - polys[0].coeff(d - 1)) - s2 / 2
@@ -603,6 +607,20 @@ def reference_kernel(m: list, ncols: int) -> list:
             vec[pc] = -rows[i][fc]
         basis.append(vec)
     return basis
+
+
+def reference_solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int):
+    """identify.solve_f as a dense system over Q: column i holds the
+    coefficients of x^i a - (x-1)^i h1 - (x+1)^i h2(x+1), and the answer is
+    the kernel vector of the highest free column, made monic, as a RefPoly;
+    None for a zero kernel."""
+    ra, r1, r2 = (RefPoly(p.coeffs) for p in (a, h1, h2))
+    r2s, x = r2.shift(1), RefPoly.x()
+    cols = [x**i * ra - (x - 1) ** i * r1 - (x + 1) ** i * r2s for i in range(d_f + 1)]
+    rows = max((len(c.coeffs) for c in cols), default=0)
+    kernel = reference_kernel([[c.coeff(k) for c in cols] for k in range(rows)], d_f + 1)
+    # reference_kernel lists the vectors by free column, highest first
+    return RefPoly(kernel[0]).monic() if kernel else None
 
 
 def reference_cf_form_states(m, n: int) -> list:

@@ -34,12 +34,11 @@ from polycf.identify import (
     REASON_NO_DEGREE,
     REASON_NO_F,
     REASON_PATTERN,
-    _kernel,
 )
 
 from _reference import (
     BetaTriple,
-    reference_kernel,
+    reference_solve_f,
     reference_splits,
     split_key,
     three_term_degree_analysis,
@@ -137,14 +136,35 @@ def test_same_cf_from_three_triples():
 
 
 def test_admissible_degree_without_f():
-    # (n, n+1) and (n+1, n) both pass the degree analysis for a = 2n+3,
-    # yet the linear system for f has only the zero solution
+    # the degree analysis admits deg f = 0 for the split (n^2, 1) of
+    # a = n^2+3, yet a = h1 + h2(x+1) fails, so only the zero f solves
+    a = X**2 + 3
+    b = -(X**2)
+    assert candidate_degrees(a, X**2, ONE) == {0}
+    report = identify(a, b)
+    assert report.solutions == []
+    reasons = {(str(r.h1), str(r.h2)): r.reason for r in report.rejections}
+    assert reasons == {
+        ("1", "n^2"): REASON_NO_DEGREE,
+        ("n", "n"): REASON_PATTERN,
+        ("n^2", "1"): REASON_NO_F,
+    }
+
+
+def test_equal_leads_with_a_nonzero_top_coefficient_admit_no_degree():
+    # with equal leads the x^k coefficient of the image of x^k is the
+    # constant a1 - g1 - g2 - d*v for every k; when it is nonzero (1 for
+    # (n, n+1) and (n+1, n) under a = 2n+3, 4 for (n, n) under 2n+5) the
+    # images have distinct degrees and no degree of f is admissible
     a = 2 * X + 3
     b = -(X * (X + 1))
+    assert candidate_degrees(a, X, X + 1) == set()
+    assert candidate_degrees(a, X + 1, X) == set()
+    assert candidate_degrees(2 * X + 5, X, X) == set()
     report = identify(a, b)
     assert report.solutions == []
     reasons = sorted(r.reason for r in report.rejections)
-    assert reasons == sorted([REASON_NO_F, REASON_NO_F, REASON_PATTERN, REASON_PATTERN])
+    assert reasons == sorted([REASON_NO_DEGREE, REASON_NO_DEGREE, REASON_PATTERN, REASON_PATTERN])
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +352,71 @@ def test_rejected_inputs():
 
 
 @st.composite
-def int_matrices(draw):
-    """Small integer matrices, some rows repeated as sums of others so that
-    kernels of every dimension show up."""
-    ncols = draw(st.integers(1, 5))
-    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, max_size=5))
-    if len(rows) >= 2 and draw(st.booleans()):
-        rows.append([x + y for x, y in zip(rows[0], rows[1])])
-    return rows, ncols
+def solve_f_cases(draw):
+    """(a, h1, h2, d_f) around a planted triple h1 = g1 f, h2 = g2 f(x-1):
+    half the time g1 and g2 share degree and lead, so the degree quadratic
+    can admit two roots; a is the planted one or a + 1, and d_f runs up to
+    three above the candidate degrees and deg f."""
+    f = draw(small_poly())
+    g1 = draw(small_poly(max_degree=2))
+    if draw(st.booleans()):
+        g2 = g1 + Poly(draw(st.lists(st.integers(-4, 4), max_size=g1.degree)))
+    else:
+        g2 = draw(small_poly(max_degree=2))
+    h1, h2 = g1 * f, g2 * f.shift(-1)
+    a = build_euler_cf(EulerTriple(h1, h2, f))[0]
+    assume(not a.is_zero)
+    if draw(st.booleans()):
+        a = a + 1
+    top = max(candidate_degrees(a, h1, h2) | {f.degree})
+    return a, h1, h2, draw(st.integers(0, top + 3))
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_matrices())
-def test_kernel_vectors_are_positive_multiples_of_the_rref_ones(case):
-    """The fraction-free kernel gives, vector by vector, positive multiples
-    of the Fraction reduction's basis, so solve_f picks and normalizes the
-    same f."""
-    m, ncols = case
-    got = _kernel(m, ncols)
-    want = reference_kernel([[Fraction(v) for v in row] for row in m], ncols)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert all(type(v) is int for v in g)
-        j = next(i for i, v in enumerate(w) if v)
-        scale = g[j] / w[j]
-        assert scale > 0 and all(gv == scale * wv for gv, wv in zip(g, w))
+@given(solve_f_cases())
+def test_solve_f_matches_the_dense_reference(case):
+    """The reduction by degree returns the f of the dense Fraction system:
+    the monic kernel vector of its highest free column, or None."""
+    got = solve_f(*case)
+    want = reference_solve_f(*case)
+    if want is None:
+        assert got is None
+    else:
+        assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("a, b, h1, h2", [
+    # unequal leads: deg f = a1 - d*v = 42 - 2 = 40
+    (3 * X + 42, -2 * X**2, X, 2 * X),
+    # equal leads, degrees {0, 40}: the image of x^40 cancels through every
+    # image held below it
+    (2 * X + 41, -(X * (X + 40)), X + 40, X),
+])
+def test_degree_40_f_matches_the_dense_reference(a, b, h1, h2):
+    want = reference_solve_f(a, h1, h2, 40)
+    assert want.degree == 40
+    found = [t.f for t in identify(a, b).solutions if (t.h1, t.h2) == (h1, h2)]
+    assert [f.coeffs for f in found if f.degree == 40] == [want.coeffs]
+
+
+def test_large_roots_are_rejected_without_a_large_system():
+    """b = -(n-200)(n-400) with a = 2n+1: both linear splits have equal
+    leads and a nonzero top coefficient, so no degree is admissible, and the
+    degree-200 system that the quadratic alone would admit has only the
+    zero solution."""
+    a, b = 2 * X + 1, -((X - 200) * (X - 400))
+    report = identify(a, b)
+    assert report.to_dict() == {
+        "solutions": [],
+        "rejections": [
+            {"h1": ["1"], "h2": ["80000", "-600", "1"], "reason": REASON_PATTERN},
+            {"h1": ["-400", "1"], "h2": ["-200", "1"], "reason": REASON_NO_DEGREE},
+            {"h1": ["-200", "1"], "h2": ["-400", "1"], "reason": REASON_NO_DEGREE},
+            {"h1": ["80000", "-600", "1"], "h2": ["1"], "reason": REASON_PATTERN},
+        ],
+        "exhaustive": True,
+    }
+    assert solve_f(a, X - 200, X - 400, 200) is None
 
 
 def test_zero_polynomials_are_invalid_input():

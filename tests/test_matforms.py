@@ -109,6 +109,12 @@ def test_eval_at_pole():
     assert m.eval_at(1) == Mat2(-1, 0, 0, 1)
     with pytest.raises(ZeroDivisionError):
         m.eval_at(2)
+    # shifting moves the pole of the rational entry from 2 to 1
+    shifted = m.shift(1)
+    assert shifted == PolyMat2(RatFunc(ONE, X - 1), 0, 0, 1)
+    assert shifted.eval_at(2) == Mat2(1, 0, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        shifted.eval_at(1)
 
 
 def test_equality_across_representations():

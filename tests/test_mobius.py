@@ -180,6 +180,7 @@ def test_pole_mid_stream_is_not_truncation():
     vals = [s.value for s in states[1:]]
     assert vals[0] is INF and vals[2] is INF
     assert vals[1] == 0 and vals[3] == 0
+    assert states[1].reduced() == (1, 0) and states[2].reduced() == (0, 1)
     assert not any(s.truncated for s in states)
 
 
