@@ -41,9 +41,12 @@ Rat = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction; a float
+    is refused (0.1 would enter as 3602879701896397/2**55)."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; pass an int, a Fraction or a string")
     return Fraction(x)
 
 

@@ -7,7 +7,8 @@ estimator:
   up and the CF value collapses to -h2(1);
 * telescoping: equal degrees, equal leading coefficients, and integer roots
   make the summand s_k a rational function of k whose partial fraction
-  expansion sums to a rational combination of zeta values;
+  expansion sums to a rational combination of zeta values; its poles are
+  read off the root lists of h1, h2 and f it is built from;
 * degree one: linear h1, h2 give Beta-integral sums with a fully rational
   special case at equal slopes.
 
@@ -16,6 +17,8 @@ No floating point: estimates are Fractions, closed forms are symbolic.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -213,13 +216,12 @@ def _integer_roots_only(p: Poly, label: str) -> list[int]:
     return sorted(roots)
 
 
-def telescoped_summand(t: EulerTriple) -> RatFunc:
-    """The summand s_k of the Euler sum as an exact rational function of k.
+def _summand_roots(t: EulerTriple) -> tuple[Fraction, Counter, Counter]:
+    """The summand of :func:`telescoped_summand` as c prod (k + z) / prod (k + p).
 
-    s_k = (f(0) f(1) / (f(k) f(k+1))) * prod_{i=1}^{k} h1(i)/h2(i+1); the
-    product telescopes factor by factor once h1 and h2 have equal degree,
-    equal leading coefficient, and integer roots.  Raises NonTelescoping
-    outside that regime (including poles of the summand on k >= 0).
+    Returns c and the multisets of the z and of the p, read off the integer
+    roots of h1, h2 and f, common entries cancelled.  The checks below force
+    every p >= 1, so no pole lies on k >= 0.
     """
     h1, h2, f = t.h1, t.h2, t.f
     if h1.degree != h2.degree:
@@ -235,54 +237,38 @@ def telescoped_summand(t: EulerTriple) -> RatFunc:
         raise NonTelescoping("f vanishes at a nonnegative integer")
     if any(r >= 1 for r in r1):
         raise NonTelescoping("h1 vanishes at a positive index (sum is finite)")
-    out = RatFunc(Poly.const(f(Fraction(0)) * f(Fraction(1))), f * f.shift(1))
+    # f(k) f(k+1) = lead(f)^2 prod (k - r)(k + 1 - r) over the roots r of f
+    c = f(Fraction(0)) * f(Fraction(1)) / f.lead**2
+    zs, ps = Counter(), Counter([-r for r in rf] + [1 - r for r in rf])
     for r, s in zip(r1, r2):
-        u, v = -r, 1 - s  # prod_{i<=k} (i+u)/(i+v), both u, v >= 0
-        if u == v:
-            continue
-        num, den = Poly.one(), Poly.one()
-        if u > v:
-            for j in range(v + 1, u + 1):
-                num = num * Poly((j, 1))
-                den = den * j
-        else:
-            for j in range(u + 1, v + 1):
-                num = num * j
-                den = den * Poly((j, 1))
-        out = out * RatFunc(num, den)
+        # prod_{i<=k} (i+u)/(i+v) = (v!/u!) prod_{j=v+1}^{u} (k+j)
+        # / prod_{j=u+1}^{v} (k+j), empty products being 1
+        u, v = -r, 1 - s
+        c *= Fraction(math.factorial(v), math.factorial(u))
+        zs.update(range(v + 1, u + 1))
+        ps.update(range(u + 1, v + 1))
+    common = zs & ps
+    return c, zs - common, ps - common
+
+
+def _linear_product(roots) -> Poly:
+    """prod (x + z)^m over the items (z, m) of roots."""
+    out = Poly.one()
+    for z, m in roots.items():
+        out = out * Poly((z, 1)) ** m
     return out
 
 
-def _partial_fractions(s: RatFunc) -> tuple[Poly, dict]:
-    """Split s into (polynomial part, {(alpha, order): coeff}) where every
-    denominator factor is (x + alpha) with integer alpha >= 1."""
-    whole, rem = divmod(s.num, s.den)
-    terms: dict[tuple[int, int], Fraction] = {}
-    den = s.den
-    if den.degree == 0:
-        return whole, terms
-    factors = []
-    for root, mult in rational_roots(den).items():
-        alpha = -root
-        if root.denominator != 1 or alpha < 1:
-            raise NonTelescoping(f"summand pole at k = {root} outside the telescoped range")
-        factors.append((int(alpha), mult))
-    total_mult = sum(m for _, m in factors)
-    if total_mult != den.degree:
-        raise NonTelescoping("summand denominator does not split over the integers")
-    for alpha, mult in factors:
-        lin = Poly((alpha, 1))
-        rest = den
-        for _ in range(mult):
-            rest = rest // lin
-        # Taylor expansion of rem/rest around x = -alpha
-        num_y = rem.shift(-alpha)
-        den_y = rest.shift(-alpha)
-        coeffs = taylor_div(num_y, den_y, mult)
-        for j, cval in enumerate(coeffs):
-            if cval != 0:
-                terms[(alpha, mult - j)] = cval
-    return whole, terms
+def telescoped_summand(t: EulerTriple) -> RatFunc:
+    """The summand s_k of the Euler sum as an exact rational function of k.
+
+    s_k = (f(0) f(1) / (f(k) f(k+1))) * prod_{i=1}^{k} h1(i)/h2(i+1); the
+    product telescopes factor by factor once h1 and h2 have equal degree,
+    equal leading coefficient, and integer roots.  Raises NonTelescoping
+    outside that regime (including poles of the summand on k >= 0).
+    """
+    c, zs, ps = _summand_roots(t)
+    return RatFunc(c * _linear_product(zs), _linear_product(ps))
 
 
 def _prefix_power_sum(alpha: int, s: int) -> Fraction:
@@ -293,16 +279,25 @@ def telescoping_zeta_sum(t: EulerTriple) -> ZetaCombo:
     """Sum the Euler series of a telescoping triple in closed form.
 
     The summand (see :func:`telescoped_summand`) is expanded in partial
-    fractions over its integer poles; orders >= 2 contribute zeta values
-    minus finite prefixes, order-1 poles must cancel (their residues sum to
-    zero) and contribute a rational harmonic correction.  Uncancelled
+    fractions over the poles its construction lists (no root finding);
+    orders >= 2 contribute zeta values minus finite prefixes, order-1 poles
+    must cancel (their residues sum to zero) and contribute a rational
+    harmonic correction.  Uncancelled
     order-1 residues, or a nonvanishing polynomial part, mean the series
     diverges and the combo says so.
     """
-    s = telescoped_summand(t)
-    whole, terms = _partial_fractions(s)
-    if not whole.is_zero:
+    scale, zs, ps = _summand_roots(t)
+    if sum(zs.values()) >= sum(ps.values()):
         return ZetaCombo(Fraction(0), {}, ZetaCombo.DIVERGENT)
+    num = scale * _linear_product(zs)
+    terms: dict[tuple[int, int], Fraction] = {}
+    for alpha, mult in ps.items():
+        # Laurent coefficients at k = -alpha: Taylor expansion of num/rest
+        rest = _linear_product({p: m for p, m in ps.items() if p != alpha})
+        coeffs = taylor_div(num.shift(-alpha), rest.shift(-alpha), mult)
+        for j, cval in enumerate(coeffs):
+            if cval != 0:
+                terms[(alpha, mult - j)] = cval
     const = Fraction(0)
     zeta: dict[int, Fraction] = {}
     residues = [(alpha, c) for (alpha, order), c in terms.items() if order == 1]

@@ -54,10 +54,6 @@ def _rf(x) -> RatFunc:
     return x if isinstance(x, RatFunc) else RatFunc(x)
 
 
-def _entry_is_zero(x) -> bool:
-    return x.is_zero if isinstance(x, Poly) else x.num.is_zero
-
-
 class PolyMat2:
     """2x2 matrix over polynomials / rational functions in the index."""
 
@@ -78,12 +74,12 @@ class PolyMat2:
         return all(isinstance(e, Poly) for e in self.entries)
 
     def det(self):
-        return _sym(_rf(self.a) * self.d - _rf(self.b) * self.c)
+        return _sym(self.a * self.d - self.b * self.c)
 
     def __mul__(self, other: "PolyMat2") -> "PolyMat2":
         if not isinstance(other, PolyMat2):
             return NotImplemented
-        return PolyMat2(*_mat_mul(tuple(_rf(e) for e in self.entries), other.entries))
+        return PolyMat2(*_mat_mul(self.entries, other.entries))
 
     def shift(self, k) -> "PolyMat2":
         return PolyMat2(*(e.shift(k) for e in self.entries))
@@ -101,10 +97,10 @@ class PolyMat2:
     def __eq__(self, other):
         if not isinstance(other, PolyMat2):
             return NotImplemented
-        return all(_rf(x) == _rf(y) for x, y in zip(self.entries, other.entries))
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(tuple(_rf(e) for e in self.entries))
+        return hash(self.entries)
 
     def __repr__(self):
         return f"PolyMat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -125,12 +121,12 @@ def coboundary_check(m1: PolyMat2, m2: PolyMat2, u: PolyMat2, up_to_scalar: bool
         return left == right
     ratio = None
     for le, re in zip(left.entries, right.entries):
-        lz, rz = _entry_is_zero(le), _entry_is_zero(re)
+        lz, rz = le == 0, re == 0
         if lz != rz:
             return False
         if lz:
             continue
-        r = _rf(le) / _rf(re)
+        r = _rf(le) / re
         if ratio is None:
             ratio = r
         elif r != ratio:
@@ -243,9 +239,9 @@ class EigenSeq:
 
 def eigen_check(m: PolyMat2, e: EigenSeq) -> bool:
     """Verify the eigenvector identity of e against m, exactly."""
-    a, b, c, d = (_rf(x) for x in m.entries)
-    g, f, lam = _rf(e.g), _rf(e.f), _rf(e.eigenvalue)
-    gp, fp = _rf(e.g.shift(1)), _rf(e.f.shift(1))
+    a, b, c, d = m.entries
+    g, f, lam = e.g, e.f, e.eigenvalue
+    gp, fp = g.shift(1), f.shift(1)
     if e.side == EigenSeq.LEFT:
         return g * a + f * c == lam * gp and g * b + f * d == lam * fp
     if e.side == EigenSeq.RIGHT:
@@ -286,8 +282,8 @@ def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
     u = PolyMat2(RatFunc(Poly.one(), f), 0, g, f)
     uinv_next = PolyMat2(fp, 0, -gp, RatFunc(Poly.one(), fp))
     t = u * m * uinv_next
-    alpha = _sym(_rf(m.det()) / _rf(left.eigenvalue))
-    assert _entry_is_zero(t.c) and _rf(t.a) == _rf(alpha) and _rf(t.d) == _rf(left.eigenvalue)
+    alpha = _sym(_rf(m.det()) / left.eigenvalue)
+    assert t.c == 0 and t.a == alpha and t.d == left.eigenvalue
     return t, alpha
 
 

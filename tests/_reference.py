@@ -29,7 +29,9 @@ companion matrices of the CF form state by state in Fractions, where polycf
 reads the states off one integer running product of the original matrix, and
 reference_solve_f solves for f as a dense linear system in reduced row echelon
 form (reference_kernel), where identify.solve_f reduces the images of the
-powers of x by degree.
+powers of x by degree.  reference_zeta_sum finds the poles of the telescoped
+summand with rational_roots, where limits.telescoping_zeta_sum reads them off
+the root lists the summand is built from.
 
 RefPoly is the polynomial type as it was on Fraction coefficients, the
 oracle for polycf.algebra.Poly, which computes on int numerators over one
@@ -43,9 +45,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from polycf.algebra import INF, Poly, is_inf, rat, rational_sqrt
+from polycf.algebra import (
+    INF,
+    Poly,
+    is_inf,
+    rat,
+    rational_roots,
+    rational_sqrt,
+    taylor_div,
+)
 from polycf.errors import InvalidInput, PoleInFormula, PolycfError
-from polycf.limits import LimitEstimate
+from polycf.limits import LimitEstimate, ZetaCombo, telescoped_summand
 from polycf.matforms import to_cf_form
 from polycf.mobius import CFSpec, ConvergentState, Mat2
 
@@ -358,6 +368,39 @@ def reference_rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     z = prod.b / prod.d
     u1inv = Mat2(h2_vals[1], 0, -1, 1 / h2_vals[1])
     return u1inv.apply(z)
+
+
+def reference_zeta_sum(t) -> ZetaCombo:
+    """telescoping_zeta_sum by expanding the summand RatFunc: divide out the
+    polynomial part, find the poles with rational_roots, divide each
+    (x + alpha)^m out of the denominator and Taylor-expand at -alpha, where
+    polycf reads the poles off the root lists the summand is built from."""
+    s = telescoped_summand(t)
+    whole, rem = divmod(s.num, s.den)
+    if not whole.is_zero:
+        return ZetaCombo(Fraction(0), {}, ZetaCombo.DIVERGENT)
+    terms = {}
+    for root, mult in rational_roots(s.den).items():
+        alpha = -root
+        assert alpha.denominator == 1 and alpha >= 1, f"pole at k = {root}"
+        alpha = int(alpha)
+        rest = s.den
+        for _ in range(mult):
+            rest = rest // Poly((alpha, 1))
+        coeffs = taylor_div(rem.shift(-alpha), rest.shift(-alpha), mult)
+        for j, c in enumerate(coeffs):
+            if c != 0:
+                terms[(alpha, mult - j)] = c
+    residue = sum((c for (_, order), c in terms.items() if order == 1), Fraction(0))
+    if residue != 0:
+        return ZetaCombo(Fraction(0), {}, ZetaCombo.DIVERGENT, residue=residue)
+    const = Fraction(0)
+    zeta = {}
+    for (alpha, order), c in sorted(terms.items()):
+        if order > 1:
+            zeta[order] = zeta.get(order, 0) + c
+        const -= c * sum((Fraction(1, j**order) for j in range(1, alpha)), Fraction(0))
+    return ZetaCombo(const, {k: v for k, v in zeta.items() if v != 0}, ZetaCombo.EXACT)
 
 
 class RefPoly:

@@ -27,10 +27,13 @@ from polycf.algebra import (
     rational_roots,
     rational_sqrt,
     sqrt_fraction,
+    rat,
     squarefree_split,
     taylor_div,
 )
 from polycf.algebra import MAX_EXPONENT, _is_probable_prime
+from polycf.limits import numeric_limit
+from polycf.mobius import CFSpec, Mat2, constant_cf_limit
 from polycf.errors import PolyParseError
 
 F = Fraction
@@ -85,6 +88,23 @@ def test_parse_rejects_an_exponent_above_the_bound_before_allocating(exponent):
     # n^(MAX_EXPONENT + 1) would hold at least 8 bytes per coefficient
     assert peak < MAX_EXPONENT
     assert parse_poly(f"n^{MAX_EXPONENT}").degree == parse_poly(f"n^00{MAX_EXPONENT}").degree == MAX_EXPONENT
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly([0.1]),
+        lambda: Mat2(0.1, 0, 0, 1),
+        lambda: QuadSurd(1, 0.5, 2),
+        lambda: constant_cf_limit(0.1, 1),
+        lambda: numeric_limit(CFSpec(b=Poly([1]), a=Poly([1])), 1e-3),
+    ],
+)
+def test_floats_are_refused(build):
+    # 0.1 would enter as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        build()
+    assert rat("1e-3") == F(1, 1000)
 
 
 def test_shift_square_oracle():

@@ -261,6 +261,27 @@ def test_limit_closed_form_rational_telescope():
     assert "cf = 4 * (1/(4/3) - 1)" in lines
 
 
+def test_limit_closed_form_at_a_large_root_offset():
+    # h2 = (n+24)^2: the summand has 25 double poles over a constant of
+    # (25!)^2, read off h2's roots in well under the subprocess timeout
+    r = run_cli(
+        "limit", "--a", "2n^2+50n+625", "--b", "-n^4-48n^3-576n^2",
+        "--closed-form", "--max-depth", "64", "--digits", "6",
+    )
+    combo = "20154752301937500*zeta(2) - 162466550113244405013436638978125/4900472974260864"
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout == (
+        "estimate: -0.928307\n"
+        "delta: 0.000000\n"
+        "depth: 16\n"
+        "verdict: estimated\n"
+        "triple: h1 = n^2, h2 = n^2 + 48*n + 576, f = 1\n"
+        f"sum = {combo}\n"
+        f"cf = 625 * (1/({combo}) - 1)\n"
+    )
+
+
 def test_limit_closed_form_reports_no_match():
     r = run_cli(
         "limit", "--a", "34n^3+51n^2+27n+5", "--b=-n^6",

@@ -211,12 +211,30 @@ def small_poly(draw, max_degree=3):
     return Poly([Fraction(c) for c in coeffs] + [Fraction(lead)])
 
 
+@st.composite
+def degree_inputs(draw):
+    """(a, h1, h2), drawn independently half the time.  Otherwise h1 and h2
+    share degree d and lead, and a = h1 + h2(x+1) + r with deg r < d: the
+    x^d coefficients balance, and when deg r < d - 1 the x^(d-1) ones do
+    too, which reaches the quadratic branch of candidate_degrees."""
+    h1 = draw(small_poly())
+    if draw(st.booleans()):
+        return draw(small_poly()), h1, draw(small_poly())
+    d = h1.degree
+    coeffs = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(d)]
+    h2 = Poly([Fraction(c) for c in coeffs] + [h1.lead])
+    n = draw(st.integers(min_value=0, max_value=d))  # deg r < n
+    r = Poly([Fraction(draw(st.integers(min_value=-4, max_value=4))) for _ in range(n)])
+    return h1 + h2.shift(1) + r, h1, h2
+
+
 @settings(max_examples=120, deadline=None)
-@given(a=small_poly(), h1=small_poly(), h2=small_poly())
-def test_degree_routes_agree_everywhere(a, h1, h2):
+@given(inputs=degree_inputs())
+def test_degree_routes_agree_everywhere(inputs):
     """The closed-form dispatch and the generic recurrence analysis are
     independent derivations; they must produce identical degree sets on
     arbitrary nonzero inputs, admissible or not."""
+    a, h1, h2 = inputs
     via_cases = candidate_degrees(a, h1, h2)
     via_recurrence = three_term_degree_analysis(BetaTriple.from_cf(a, h1, h2))
     assert via_cases == via_recurrence

@@ -6,6 +6,7 @@ route (literal products, exact partial sums, or the numeric estimator with
 reference constants), so no identity is trusted on one derivation alone.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,13 @@ from polycf import (
     ZetaCombo,
 )
 
-from _reference import e_ref, reference_numeric_limit, zeta_ref
+from _reference import (
+    e_ref,
+    outcome,
+    reference_numeric_limit,
+    reference_zeta_sum,
+    zeta_ref,
+)
 from _strategies import poly_cfs
 
 X = Poly.x()
@@ -199,6 +206,7 @@ TELESCOPING_CASES = [
     trivial_triple(X**2, X * (X + 1)),
     trivial_triple(X**3, X**2 * (X + 1)),
     EulerTriple(X * (X + 1), X * (X + 1), X + 1),
+    trivial_triple(X**2, (X + 24) ** 2),
 ]
 
 
@@ -289,6 +297,57 @@ def test_constant_summand_diverges_without_residue():
     assert form.divergent_value() == -1
     # the partial values really do sink toward -h2(1)
     assert abs(euler_partial_value(t, 200) + 1) < Fraction(1, 100)
+
+
+def test_large_root_offset_sums_within_budget():
+    """The summand is (25!)^2 / ((k+1)...(k+25))^2: its poles come from the
+    roots of h2, not from trying the divisors of its constant."""
+    start = time.monotonic()
+    combo = telescoping_zeta_sum(trivial_triple(X**2, (X + 24) ** 2))
+    elapsed = time.monotonic() - start
+    assert combo == ZetaCombo(
+        Fraction(-162466550113244405013436638978125, 4900472974260864),
+        {2: Fraction(20154752301937500)},
+    )
+    assert str(combo) == (
+        "20154752301937500*zeta(2) - 162466550113244405013436638978125/4900472974260864"
+    )
+    assert elapsed < 2.0, f"budget 2s exceeded: {elapsed:.1f}s"
+
+
+@st.composite
+def integer_rooted_triples(draw) -> EulerTriple:
+    """h1 = g1 f and h2 = g2 f(x-1) with g1, g2, f constants times products
+    of (x - r), every r in -6..2: most draws telescope (exactly or divergently), the rest
+    fail one of telescoped_summand's checks, and now and then the degrees or
+    leads of h1 and h2 differ or both carry an x^2 + 1 / x^2 pair."""
+    root = st.integers(-6, 2)
+    shape = draw(st.sampled_from(["plain"] * 7 + ["degree", "lead", "residual"]))
+    lead = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+    deg = draw(st.integers(0, 3))
+    deg2 = deg + 1 if shape == "degree" else deg
+    g1 = Poly.const(lead)
+    for r in draw(st.lists(root, min_size=deg, max_size=deg)):
+        g1 = g1 * (X - r)
+    g2 = Poly.const(3 if shape == "lead" else lead)
+    for r in draw(st.lists(root, min_size=deg2, max_size=deg2)):
+        g2 = g2 * (X - r)
+    if shape == "residual":
+        g1, g2 = g1 * (X**2 + 1), g2 * X**2
+    f = Poly.const(draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+    for r in draw(st.lists(root, max_size=2)):
+        f = f * (X - r)
+    return EulerTriple(g1 * f, g2 * f.shift(-1), f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=integer_rooted_triples())
+def test_zeta_sum_matches_the_pole_finding_reference(t):
+    got = outcome(telescoping_zeta_sum, t)
+    assert got == outcome(reference_zeta_sum, t)
+    if got[0] is ZetaCombo:
+        s = telescoped_summand(t)
+        assert all(s(Fraction(k)) == literal_summand(t, k) for k in range(8))
 
 
 @pytest.mark.parametrize(
