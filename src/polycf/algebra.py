@@ -31,7 +31,9 @@ Fraction(117, 1)
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -687,45 +689,25 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # parsing
 # ---------------------------------------------------------------------------
 
-_VAR_NAMES = ("n", "x")
+# One match per token: an INT, a VAR or an operator, whose kind is the
+# operator itself.  \d takes only decimal digits, the ones int() reads, so a
+# superscript lands in the last group with every other foreign character.
+_TOKEN = re.compile(r"(\d+)|([nx])|([-+*/^()])|(\S)")
 
 
 class _Scanner:
-    """Tokenizer for the polynomial grammar.  Tokens: INT, VAR, one of +-*/^()."""
+    """Tokens (kind, text, position) of the polynomial grammar, ending in END."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
+        for m in _TOKEN.finditer(text):
+            if m.lastindex == 4:
+                raise PolyParseError(m.group(), m.start(), text)
+            kind = ("INT", "VAR", m.group())[m.lastindex - 1]
+            self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("END", "", len(text)))
         self.idx = 0
-
-    def _scan(self):
-        t, i = self.text, 0
-        while i < len(t):
-            ch = t[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(t) and t[j].isdigit():
-                    j += 1
-                self.tokens.append(("INT", t[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isalpha():
-                if ch in _VAR_NAMES:
-                    self.tokens.append(("VAR", ch, i))
-                    i += 1
-                    continue
-                raise PolyParseError(ch, i, t)
-            raise PolyParseError(ch, i, t)
-        self.tokens.append(("END", "", len(t)))
 
     def peek(self):
         return self.tokens[self.idx]
@@ -770,50 +752,36 @@ def _parse_rational(sc: _Scanner) -> Fraction:
 
 
 def _parse_term(sc: _Scanner) -> Poly:
-    """term := rational ['*'] [var ['^' uint]] | var ['^' uint]"""
+    """term := rational [['*'] var ['^' uint]] | var ['^' uint]"""
     coeff = Fraction(1)
-    have_coeff = False
     if sc.peek()[0] == "INT":
         coeff = _parse_rational(sc)
-        have_coeff = True
         if sc.peek()[0] == "*":
             sc.next()
-            sc_tok = sc.peek()
-            if sc_tok[0] != "VAR":
-                raise PolyParseError(sc_tok[1] or "end of input", sc_tok[2], sc.text)
-    if sc.peek()[0] == "VAR":
+        elif sc.peek()[0] != "VAR":
+            return Poly((coeff,))
+    sc.expect("VAR")
+    power = 1
+    if sc.peek()[0] == "^":
         sc.next()
-        power = 1
-        if sc.peek()[0] == "^":
-            sc.next()
-            power = _parse_exponent(sc)
-        out = [Fraction(0)] * power + [coeff]
-        return Poly(out)
-    if not have_coeff:
-        tok = sc.peek()
-        raise PolyParseError(tok[1] or "end of input", tok[2], sc.text)
-    return Poly((coeff,))
+        power = _parse_exponent(sc)
+    return Poly([Fraction(0)] * power + [coeff])
 
 
-def _parse_sum(sc: _Scanner, stop=("END",)) -> Poly:
+def _parse_sum(sc: _Scanner, stop: str = "END") -> Poly:
+    """sum := ['+' | '-'] term (('+' | '-') term)*, ended by the `stop` token."""
     total = Poly.zero()
-    sign = 1
     tok = sc.peek()
-    if tok[0] in "+-":
-        sc.next()
-        sign = -1 if tok[0] == "-" else 1
     while True:
+        sign = -1 if tok[0] == "-" else 1
+        if tok[0] in ("+", "-"):
+            sc.next()
         total = total + sign * _parse_term(sc)
         tok = sc.peek()
-        if tok[0] in stop:
+        if tok[0] == stop:
             return total
-        if tok[0] == "+":
-            sign = 1
-        elif tok[0] == "-":
-            sign = -1
-        else:
+        if tok[0] not in ("+", "-"):
             raise PolyParseError(tok[1] or "end of input", tok[2], sc.text)
-        sc.next()
 
 
 def parse_poly(text: str) -> Poly:
@@ -821,8 +789,10 @@ def parse_poly(text: str) -> Poly:
 
     Signed terms ``c``, ``c*n^k``, ``n^k``, ``n`` with integer or p/q
     coefficients; the ``*`` is optional and whitespace is ignored.  The index
-    variable is ``n``, with ``x`` accepted as a synonym.  An exponent k above
-    MAX_EXPONENT = 10000 raises PolyParseError at its token.
+    variable is ``n``, with ``x`` accepted as a synonym.  Numbers are runs of
+    decimal digits (those ``int`` reads); any other character, a superscript
+    such as ``²`` too, raises PolyParseError at its position.  An exponent k
+    above MAX_EXPONENT = 10000 raises PolyParseError at its token.
 
     >>> parse_poly("-n^2 + 3/2 n - 1") == Poly([-1, Fraction(3, 2), -1])
     True
@@ -849,30 +819,17 @@ def parse_factored(text: str) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """
     sc = _Scanner(text)
     const = Fraction(1)
-    raw: list[tuple[Poly, int]] = []
-    tok = sc.peek()
-    if tok[0] in "+-":
-        sc.next()
-        if tok[0] == "-":
-            const = -const
-    first = True
+    # monic block -> multiplicity, in order of first appearance
+    blocks: dict[Poly, int] = {}
+    if sc.peek()[0] in ("+", "-") and sc.next()[0] == "-":
+        const = -const
     while True:
         tok = sc.peek()
-        if tok[0] == "END":
-            if first:
-                raise PolyParseError("end of input", tok[2], sc.text)
-            break
-        if not first:
-            if tok[0] == "*":
-                sc.next()
-                tok = sc.peek()
-            elif tok[0] != "(":
-                raise PolyParseError(tok[1] or "end of input", tok[2], sc.text)
         if tok[0] == "INT":
             const *= _parse_rational(sc)
-        elif tok[0] == "(":
-            sc.next()
-            block = _parse_sum(sc, stop=(")",))
+        else:
+            sc.expect("(")
+            block = _parse_sum(sc, stop=")")
             sc.expect(")")
             mult = 1
             if sc.peek()[0] == "^":
@@ -882,18 +839,15 @@ def parse_factored(text: str) -> tuple[Fraction, list[tuple[Poly, int]]]:
                 raise PolyParseError(")", tok[2], sc.text)
             const *= block.lead ** mult
             if mult > 0 and block.degree > 0:
-                raw.append((block.monic(), mult))
-        else:
+                key = block.monic()
+                blocks[key] = blocks.get(key, 0) + mult
+        tok = sc.peek()
+        if tok[0] == "END":
+            return const, list(blocks.items())
+        if tok[0] == "*":
+            sc.next()
+        elif tok[0] != "(":
             raise PolyParseError(tok[1] or "end of input", tok[2], sc.text)
-        first = False
-    merged: dict[Poly, int] = {}
-    order: list[Poly] = []
-    for b, m in raw:
-        if b not in merged:
-            merged[b] = 0
-            order.append(b)
-        merged[b] += m
-    return const, [(b, merged[b]) for b in order]
 
 
 def assemble_factored(const: Fraction, blocks: list[tuple[Poly, int]]) -> Poly:
@@ -909,20 +863,21 @@ def assemble_factored(const: Fraction, blocks: list[tuple[Poly, int]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factor_int(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+def _divisors(n: int):
+    """The positive divisors of n != 0, one at a time, 1 first."""
+    powers = [[p**k for k in range(e + 1)] for p, e in factor_int(n).items()]
+    for combo in itertools.product(*powers):
+        yield math.prod(combo)
 
 
 def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     """Rational roots of a nonzero p with multiplicities, keys in ascending
     order, and the monic quotient of p by every (x - r)^m.
 
-    Works on the integer numerators of p: a root s/t is tested by horner
-    and divided out as the integer factor (t x - s) by synthetic division
-    (exact, by Gauss's lemma)."""
+    Works on the primitive integer numerators of p: a root s/t is tested by
+    horner and divided out as the integer factor (t x - s) by synthetic
+    division (exact, by Gauss's lemma).  The search ends once the quotient
+    is linear, whose root is read off, or constant."""
     desc = list(p.numerators[::-1])
     # strip the root at zero
     zmult = 0
@@ -930,25 +885,35 @@ def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
         desc.pop()
         zmult += 1
     found: dict[Fraction, int] = {Fraction(0): zmult} if zmult else {}
-    if len(desc) > 1:
-        a0, ad = abs(desc[-1]), abs(desc[0])
+    if len(desc) > 2:
+        g = math.gcd(*desc)
+        desc = [c // g for c in desc]
         # candidates s/t in lowest terms, s | a0 and t | ad; the order they
         # are tried in changes neither the multiplicities nor the quotient
-        dens = _divisors(ad)
-        for num in _divisors(a0):
-            for t in dens:
-                if math.gcd(num, t) != 1:
-                    continue
-                for s in (num, -num):
-                    while horner(desc, s, t) == 0:
-                        # desc = (t x - s) * quotient, from the top down
-                        acc = 0
-                        for k in range(len(desc) - 1):
-                            acc = (desc[k] + s * acc) // t
-                            desc[k] = acc
-                        desc.pop()
-                        r = Fraction(s, t)
-                        found[r] = found.get(r, 0) + 1
+        dens = list(_divisors(desc[0]))
+        candidates = (
+            (s, t)
+            for num in _divisors(desc[-1])
+            for t in dens
+            if math.gcd(num, t) == 1
+            for s in (num, -num)
+        )
+        for s, t in candidates:
+            if len(desc) <= 2:
+                break
+            while horner(desc, s, t) == 0:
+                # desc = (t x - s) * quotient, from the top down
+                acc = 0
+                for k in range(len(desc) - 1):
+                    acc = (desc[k] + s * acc) // t
+                    desc[k] = acc
+                desc.pop()
+                r = Fraction(s, t)
+                found[r] = found.get(r, 0) + 1
+    if len(desc) == 2:
+        r = Fraction(-desc[1], desc[0])
+        found[r] = found.get(r, 0) + 1
+        desc = [1]
     return dict(sorted(found.items())), Poly._make(desc[::-1]).monic()
 
 

@@ -135,7 +135,8 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
     a'(i) = c(i) a(i).
 
     `shift` reindexes first: the transform is applied to the tail starting
-    at original index shift+1, i.e. b and a are read at i+shift while c is
+    at original index shift+1, i.e. b and a are read at i+shift (explicit
+    lists at position i-1+shift, so they hold n+shift terms) while c is
     read at the new index.  (Useful when c(0) would otherwise be zero: peel
     the head term off by hand and transform the tail.)
 
@@ -159,8 +160,8 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
         a2 = c * a.shift(shift)
         return b2, a2, 1 / c0
     _check_length(c, n + 1, "c")
-    _check_length(b, n, "b")
-    _check_length(a, n, "a")
+    _check_length(b, n + shift, "b")
+    _check_length(a, n + shift, "a")
     c_vals = []
     for j in range(0, n + 1):
         cj = _term(c, j, j)
@@ -169,8 +170,8 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
         c_vals.append(cj)
     bs, as_ = [], []
     for j in range(1, n + 1):
-        bj = _term(b, j - 1, j + shift)
-        aj = _term(a, j - 1, j + shift)
+        bj = _term(b, j - 1 + shift, j + shift)
+        aj = _term(a, j - 1 + shift, j + shift)
         bs.append(c_vals[j - 1] * c_vals[j] * bj)
         as_.append(c_vals[j] * aj)
     return bs, as_, 1 / c_vals[0]

@@ -43,6 +43,12 @@ REASON_PATTERN = "degree pattern inadmissible"
 REASON_IRRATIONAL = "irrational leading split"
 REASON_NO_DEGREE = "no admissible f degree"
 REASON_NO_F = "no f solution at admissible degrees"
+REASON_F_BUDGET = "f degree above the search budget"
+
+# The largest deg f that solve_f is asked for.  A large integer root of b can
+# make a candidate degree astronomical (about the root itself); such a degree
+# is skipped and reported with REASON_F_BUDGET, so identify always ends.
+MAX_F_DEGREE = 1000
 
 
 def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
@@ -243,6 +249,7 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
         return sols, rejs
     found_degree = False
     found_f = False
+    over_budget = False
     for c1, c2 in pairs:
         h1 = h1m * c1
         h2 = h2m * c2
@@ -253,6 +260,9 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
             continue
         found_degree = True
         for df in sorted(dfs):
+            if df > MAX_F_DEGREE:
+                over_budget = True
+                continue
             f = solve_f(a, h1, h2, df)
             if f is None:
                 continue
@@ -263,6 +273,8 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
             sols.append(t)
     if not found_degree:
         rejs.append(Rejection(h1m, h2m, REASON_NO_DEGREE))
+    elif over_budget:
+        rejs.append(Rejection(h1m, h2m, REASON_F_BUDGET))
     elif not found_f:
         rejs.append(Rejection(h1m, h2m, REASON_NO_F))
     return sols, rejs
@@ -280,7 +292,9 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     The report lists every verified triple, the rejected decompositions with
     reasons, and whether the enumeration was exhaustive (true only when the
     factor base splits b into linear blocks, so every decomposition really
-    was visited).
+    was visited, and no candidate deg f was above MAX_F_DEGREE).  A
+    decomposition with a candidate degree above the budget is not solved at
+    that degree; it gets the rejection "f degree above the search budget".
     """
     if a.is_zero or b.is_zero:
         raise InvalidInput("a and b must be nonzero")
@@ -323,6 +337,8 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
                 seen.add(key)
                 report.solutions.append(t)
         report.rejections.extend(rejs)
+        if any(r.reason == REASON_F_BUDGET for r in rejs):
+            report.exhaustive = False
     report.solutions.sort(
         key=lambda t: (_poly_key(t.h1), _poly_key(t.h2), _poly_key(t.f))
     )

@@ -6,7 +6,9 @@ and frozen here before the implementation was written.
 
 import math
 import random
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,22 @@ def test_parse_errors_name_token_and_position():
         parse_poly("2 3")
     with pytest.raises(PolyParseError):
         parse_poly("n^-1")
+
+
+@pytest.mark.parametrize("parse, text, pos", [
+    (parse_poly, "²", 0),
+    (parse_poly, "n^²", 2),
+    (parse_factored, "(n)^²", 4),
+])
+def test_parse_rejects_a_superscript_digit_at_its_position(parse, text, pos):
+    # numbers are runs of decimal digits, the ones int() reads
+    with pytest.raises(PolyParseError) as e:
+        parse(text)
+    assert (e.value.token, e.value.pos) == ("²", pos)
+
+
+def test_parse_reads_decimal_digits_of_any_script():
+    assert parse_poly("١٢n^٣") == parse_poly("12n^3")
 
 
 @pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 10**11])
@@ -488,6 +506,42 @@ def test_rational_roots_with_a_psi12_coefficient():
     p, q = PSI12_FACTORS
     roots = rational_roots(Poly([PSI12, -(p + q), 1]))
     assert roots == {F(p): 1, F(q): 1}
+
+
+# monic, with no rational root, and so are their products
+ROOTLESS = [Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([-2, 0, 1]), Poly([-2, 0, 0, 1]), Poly([1, 1, 0, 1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=5), max_size=6),
+    st.lists(st.sampled_from(ROOTLESS), max_size=2),
+    st.fractions(max_denominator=7).filter(bool),
+    st.integers(1, 720720**2),
+)
+def test_roots_and_residual_match_the_planted_ones(roots, rootless, content, scale):
+    """Planted roots (repeats and 0 among them) times rootless factors times
+    a content with a large integer part: the roots come back with their
+    multiplicities and the rootless product as the monic residual."""
+    residual = math.prod(rootless, start=Poly.one())
+    p = Poly.const(content * scale) * residual
+    for r in roots:
+        p = p * Poly((-r, 1))
+    want = dict(sorted(Counter(roots).items()))
+    assert rational_roots(p) == want
+    c, factors, res = factor_integer_rooted(p)
+    assert (c, factors, res) == (content * scale, [(Poly((-r, 1)), m) for r, m in want.items()], residual)
+
+
+def test_root_search_stops_at_a_linear_quotient():
+    # (x + (19!)^2)(x + 1): the constant term has 1590435 divisors, and the
+    # content c of c(x^2 + 1) has 3645; neither list is walked
+    start = time.monotonic()
+    big = math.factorial(19) ** 2
+    assert rational_roots(Poly([big, big + 1, 1])) == {F(-big): 1, F(-1): 1}
+    c = 720720**2
+    assert factor_integer_rooted(Poly([c, 0, c])) == (F(c), [], Poly([1, 0, 1]))
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize(

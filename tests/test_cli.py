@@ -7,6 +7,7 @@ exactly as a user would hit them.
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -24,9 +25,15 @@ from polycf.cli import _normalize_argv, decimal_pair, decimal_string, main
 from _reference import decimal_prefix, e_ref
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args):
+    # the subprocess imports polycf from this checkout, installed or not
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "polycf", *args],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
@@ -94,6 +101,12 @@ def test_eval_rejects_an_exponent_above_the_bound(exponent):
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("usage:")
     assert f"unexpected token '{exponent}' at position 2" in r.stderr
+
+
+def test_eval_rejects_a_superscript_exponent():
+    r = run_cli("eval", "--a", "n^²", "--b", "n", "--depth", "3")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "unexpected token '²' at position 2" in r.stderr
 
 
 def test_eval_requires_positive_depth():
@@ -280,6 +293,18 @@ def test_limit_closed_form_at_a_large_root_offset():
         f"sum = {combo}\n"
         f"cf = 625 * (1/({combo}) - 1)\n"
     )
+
+
+def test_limit_closed_form_with_a_large_integer_root_of_b():
+    # h1 = n^3, h2 = (n + N)(n + 1), N = (19!)^2: two splits of b ask for a
+    # deg f of about N, which identify skips; the value is -h2(1)
+    r = run_cli(
+        "limit", "--a", "n^3 + n^2 + 14797530453474819213543604224000003n + 29595060906949638427087208448000002",
+        "--b=-n^5 - 14797530453474819213543604224000001n^4 - 14797530453474819213543604224000000n^3",
+        "--closed-form", "--max-depth", "64", "--digits", "6",
+    )
+    assert r.returncode == 0
+    assert "cf = -29595060906949638427087208448000002 (dominant growth)" in r.stdout.splitlines()
 
 
 def test_limit_closed_form_reports_no_match():

@@ -177,6 +177,21 @@ def test_equivalence_sequence_mode_matches_poly_mode():
     assert as_ == [a2(Fraction(i)) for i in range(1, 9)]
 
 
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_equivalence_sequence_mode_reads_lists_at_the_shift(shift):
+    b, a, c = parse_poly("n^2"), parse_poly("2n+1"), parse_poly("n+3")
+    n = 6
+    bl = [b(Fraction(i)) for i in range(1, n + shift + 1)]
+    al = [a(Fraction(i)) for i in range(1, n + shift + 1)]
+    want = equivalence_transform(b, a, c, n=n, shift=shift)
+    assert equivalence_transform(bl, al, c, n=n, shift=shift) == want
+    assert equivalence_transform(lambda i: b(i), lambda i: a(i), c, n=n, shift=shift) == want
+    b2, a2, scale = equivalence_transform(b, a, c, shift=shift)
+    assert want == ([b2(Fraction(i)) for i in range(1, n + 1)], [a2(Fraction(i)) for i in range(1, n + 1)], scale)
+    with pytest.raises(InvalidInput, match=f"b has {n + shift - 1} terms, needed {n + shift}"):
+        equivalence_transform(bl[:-1], al, c, n=n, shift=shift)
+
+
 def test_equivalence_shift_device_exponential_tail():
     # Scaling the tail (from index 2) of K (-1/i)/(1 + 1/i) with c(j) = j + 1
     # lands on K (-j)/(j+2): the e continued fraction reproduces itself.

@@ -9,7 +9,9 @@ up on.
 """
 
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,8 @@ from polycf import (
     trivial_triple,
 )
 from polycf.identify import (
+    MAX_F_DEGREE,
+    REASON_F_BUDGET,
     REASON_IRRATIONAL,
     REASON_NO_DEGREE,
     REASON_NO_F,
@@ -383,9 +387,9 @@ def solve_f_cases(draw):
         g2 = draw(small_poly(max_degree=2))
     h1, h2 = g1 * f, g2 * f.shift(-1)
     a = build_euler_cf(EulerTriple(h1, h2, f))[0]
-    assume(not a.is_zero)
     if draw(st.booleans()):
         a = a + 1
+    assume(not a.is_zero)
     top = max(candidate_degrees(a, h1, h2) | {f.degree})
     return a, h1, h2, draw(st.integers(0, top + 3))
 
@@ -435,6 +439,64 @@ def test_large_roots_are_rejected_without_a_large_system():
         "exhaustive": True,
     }
     assert solve_f(a, X - 200, X - 400, 200) is None
+
+
+def test_a_candidate_degree_above_the_budget_is_not_solved():
+    """a = 3n + 1000002, b = -2n^2: the split (n, 2n) asks for deg f = 10^6,
+    which is over MAX_F_DEGREE, so it is rejected unsolved and the report is
+    not exhaustive."""
+    start = time.monotonic()
+    report = identify(3 * X + 1000002, -2 * X**2)
+    assert time.monotonic() - start < 1.0
+    assert MAX_F_DEGREE < 10**6
+    assert report.to_dict() == {
+        "solutions": [],
+        "rejections": [
+            {"h1": ["1"], "h2": ["0", "0", "1"], "reason": REASON_PATTERN},
+            {"h1": ["0", "1"], "h2": ["0", "1"], "reason": REASON_F_BUDGET},
+            {"h1": ["0", "0", "1"], "h2": ["1"], "reason": REASON_PATTERN},
+        ],
+        "exhaustive": False,
+    }
+
+
+def test_a_degree_200_f_is_within_the_budget():
+    a, b = 3 * X + 202, -2 * X**2
+    report = identify(a, b)
+    assert [(t.h1, t.h2, t.f.degree) for t in report.solutions] == [(X, 2 * X, 200)]
+    assert report.exhaustive is True
+    assert_sound(report, a, b)
+
+
+def test_a_large_integer_root_of_b_ends_with_budget_rejections():
+    """h2 = (n + N)(n + 1) with N = (19!)^2: two splits ask for a deg f of
+    about N.  They get the budget rejection; the two triples of degree at
+    most 1 are still found."""
+    N = math.factorial(19) ** 2
+    a, b = build_euler_cf(EulerTriple(X**3, (X + N) * (X + 1), ONE))
+    start = time.monotonic()
+    report = identify(a, b)
+    assert time.monotonic() - start < 1.0
+    assert report.solutions == [
+        EulerTriple(X**3, (X + N) * (X + 1), ONE),
+        EulerTriple(X**3 + X**2, X * (X + N), X + 1),
+    ]
+    assert [(r.h1, r.h2) for r in report.rejections if r.reason == REASON_F_BUDGET] == [
+        (X**2 * (X + N), X * (X + 1)),
+        (X * (X + N) * (X + 1), X**2),
+    ]
+    assert report.exhaustive is False
+    assert_sound(report, a, b)
+
+
+def test_a_large_content_of_b_is_divided_out_before_the_root_search():
+    # -b = c(n^2 + 1), c = 720720^2 with 3645 divisors: one atomic block
+    c = 720720**2
+    start = time.monotonic()
+    report = identify(2 * X + 1, -(c * X**2 + c))
+    assert time.monotonic() - start < 1.0
+    assert report.exhaustive is False
+    assert [r.h1 for r in report.rejections] == [ONE, X**2 + 1]
 
 
 def test_zero_polynomials_are_invalid_input():
