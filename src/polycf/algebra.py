@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import PolyParseError
+from .errors import InvalidInput, PolyParseError
 
 Rat = Fraction
 
@@ -108,28 +108,42 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Floyd's cycle detection (tortoise and hare); n must be composite and odd
-    if n % 2 == 0:
-        return 2
+# The most steps one Pollard rho search may take.  It needs about sqrt(p)
+# steps for the least prime factor p: psi12 = 399165290221 * 798330580441
+# takes 188312.  On one x86-64 core the cap is 3-4 s on a 130-200 bit number.
+_RHO_STEPS = 1 << 20
+
+
+def _pollard_rho(n: int) -> int | None:
+    # Floyd's cycle detection (tortoise and hare); n must be composite and
+    # odd.  None once _RHO_STEPS steps are spent without a proper divisor.
+    steps = 0
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            if steps == _RHO_STEPS:
+                return None
+            steps += 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"factorization failed for {n}")
+    return None
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.  factor_int(0) errors."""
+    """Prime factorization of |n| as {prime: exponent}.  factor_int(0) errors.
+
+    A composite part that Pollard's rho does not split within _RHO_STEPS
+    steps raises InvalidInput naming |n|; no partial factorization is
+    returned.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
-    n = abs(n)
+    n = whole = abs(n)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -148,6 +162,8 @@ def factor_int(n: int) -> dict[int, int]:
             stack.extend((root, root))
             continue
         d = _pollard_rho(m)
+        if d is None:
+            raise InvalidInput(f"cannot factor {whole} within {_RHO_STEPS} Pollard rho steps")
         stack.extend((d, m // d))
     return out
 
@@ -177,7 +193,38 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-class QuadSurd:
+class _Exact:
+    """`-` both ways, `==` and hash for QuadSurd, Poly and RatFunc, from each
+    type's ``_coerce`` (an operand of the type, or None), ``+``, unary ``-``
+    and ``_key()``, a canonical form of the value.  A rational value's key is
+    that Fraction and a Poly-valued RatFunc's is the Poly's, so x == y gives
+    hash(x) == hash(y) across the three types, int and Fraction."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._key() == o._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class QuadSurd(_Exact):
     """Exact number u + v*sqrt(d) with rational u, v and squarefree d >= 0.
 
     Normalization folds d in {0, 1} (and v = 0) back into the rational case,
@@ -272,18 +319,6 @@ class QuadSurd:
     def __neg__(self):
         return QuadSurd(-self.u, -self.v, self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -297,16 +332,8 @@ class QuadSurd:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.u, self.v, self.d) == (o.u, o.v, o.d)
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(self.u)
-        return hash((self.u, self.v, self.d))
+    def _key(self):
+        return self.u if self.v == 0 else (self.u, self.v, self.d)
 
     def __repr__(self):
         return f"QuadSurd({self.u}, {self.v}, {self.d})"
@@ -357,7 +384,7 @@ def horner(desc, p: int, q: int = 1) -> int:
     return acc
 
 
-class Poly:
+class Poly(_Exact):
     """Dense univariate polynomial over Q, ascending coefficients.
 
     A Poly is stored as ``numerators``, a tuple of ints, over one positive
@@ -488,18 +515,6 @@ class Poly:
 
     def __neg__(self):
         return Poly._make([-c for c in self.numerators], self.denominator)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -634,14 +649,12 @@ class Poly:
 
     # -- misc -----------------------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.numerators == o.numerators and self.denominator == o.denominator
-
-    def __hash__(self):
-        return hash((self.numerators, self.denominator))
+    def _key(self):
+        nums, den = self.numerators, self.denominator
+        if len(nums) > 1:
+            return nums, den
+        c = nums[0] if nums else 0
+        return c if den == 1 else Fraction(c, den)
 
     def __bool__(self):
         return bool(self.numerators)
@@ -830,13 +843,13 @@ def parse_factored(text: str) -> tuple[Fraction, list[tuple[Poly, int]]]:
         else:
             sc.expect("(")
             block = _parse_sum(sc, stop=")")
-            sc.expect(")")
+            close = sc.expect(")")[2]
             mult = 1
             if sc.peek()[0] == "^":
                 sc.next()
                 mult = _parse_exponent(sc)
             if block.is_zero:
-                raise PolyParseError(")", tok[2], sc.text)
+                raise PolyParseError(sc.text[tok[2] : close + 1], tok[2], sc.text)
             const *= block.lead ** mult
             if mult > 0 and block.degree > 0:
                 key = block.monic()
@@ -863,9 +876,10 @@ def assemble_factored(const: Fraction, blocks: list[tuple[Poly, int]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int):
-    """The positive divisors of n != 0, one at a time, 1 first."""
-    powers = [[p**k for k in range(e + 1)] for p, e in factor_int(n).items()]
+def _divisors(factors: dict[int, int]):
+    """The divisors of the number whose factor_int is `factors`, one at a
+    time, 1 first."""
+    powers = [[p**k for k in range(e + 1)] for p, e in factors.items()]
     for combo in itertools.product(*powers):
         yield math.prod(combo)
 
@@ -889,12 +903,14 @@ def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
         g = math.gcd(*desc)
         desc = [c // g for c in desc]
         # candidates s/t in lowest terms, s | a0 and t | ad; the order they
-        # are tried in changes neither the multiplicities nor the quotient
-        dens = list(_divisors(desc[0]))
+        # are tried in changes neither the multiplicities nor the quotient.
+        # Each coefficient is factored once, and its divisors are generated
+        # as the search asks for them.
+        lead, const = factor_int(desc[0]), factor_int(desc[-1])
         candidates = (
             (s, t)
-            for num in _divisors(desc[-1])
-            for t in dens
+            for num in _divisors(const)
+            for t in _divisors(lead)
             if math.gcd(num, t) == 1
             for s in (num, -num)
         )
@@ -950,7 +966,7 @@ def factor_integer_rooted(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Po
 # ---------------------------------------------------------------------------
 
 
-class RatFunc:
+class RatFunc(_Exact):
     """Quotient of two polynomials, stored reduced with a monic denominator.
 
     >>> f = RatFunc(Poly([0, 1]), Poly([1, 1]))     # x / (x+1)
@@ -980,7 +996,7 @@ class RatFunc:
 
     @property
     def is_poly(self) -> bool:
-        return self.den == Poly.one()
+        return self.den.degree == 0
 
     def as_poly(self) -> Poly:
         if not self.is_poly:
@@ -1005,18 +1021,6 @@ class RatFunc:
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -1049,14 +1053,8 @@ class RatFunc:
             return INF
         return self.num(v) / dv
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def _key(self):
+        return self.num._key() if self.is_poly else (self.num._key(), self.den._key())
 
     def __repr__(self):
         if self.is_poly:

@@ -14,9 +14,8 @@ Everything is exact; every returned triple is re-verified against (a, b)
 before it is reported.
 
 The splits are prefix products: each split (h1, h2) of the blocks so far is
-extended by (p^e, p^(m-e)) for the next block p^m, from one table of powers
-of p.  A linear block takes every e in 0..m, an atomic block (degree >= 2)
-only e in {0, m}; the splits are then sorted by (h1, h2).
+extended by (p^e, p^(m-e)) for every e in 0..m and the next block p^m, from
+one table of powers of p; the splits are then sorted by (h1, h2).
 
 The candidate degrees of f come from per-case closed formulas
 (:func:`candidate_degrees`).  The test suite checks them against an
@@ -285,16 +284,19 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     f a = f(x-1) h1 + f(x+1) h2(x+1).
 
     ``factored`` optionally pre-factors b as (constant, [(block, mult), ...])
-    from :func:`polycf.algebra.parse_factored`; blocks are treated as atomic.
-    Without it, -b is factored over its rational roots and any rootless
-    residual of degree >= 2 becomes a single atomic block.
+    from :func:`polycf.algebra.parse_factored`.  Without it, -b is factored
+    over its rational roots and any rootless residual of degree >= 2 becomes
+    one block of multiplicity 1.  Each block p^m goes to h1 as p^e and to h2
+    as p^(m-e), for every e in 0..m.
 
     The report lists every verified triple, the rejected decompositions with
-    reasons, and whether the enumeration was exhaustive (true only when the
-    factor base splits b into linear blocks, so every decomposition really
-    was visited, and no candidate deg f was above MAX_F_DEGREE).  A
-    decomposition with a candidate degree above the budget is not solved at
-    that degree; it gets the rejection "f degree above the search budget".
+    reasons, and whether the enumeration was exhaustive.  It is not when a
+    block has degree >= 2, since such a block may factor further into splits
+    that were not visited, or when a candidate deg f was above MAX_F_DEGREE:
+    a decomposition with a candidate degree above the budget is not solved
+    at that degree, and gets the rejection "f degree above the search
+    budget".  Factoring the integer coefficients of -b has a budget too
+    (see polycf.algebra.factor_int); past it, identify raises InvalidInput.
     """
     if a.is_zero or b.is_zero:
         raise InvalidInput("a and b must be nonzero")
@@ -318,12 +320,10 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
         powers = [Poly.one()]
         for _ in range(mult):
             powers.append(powers[-1] * p)
-        # an atomic block goes whole to one side
-        picks = (0, mult) if p.degree >= 2 else range(mult + 1)
         decomps = [
             (h1m * powers[e], h2m * powers[mult - e])
             for h1m, h2m in decomps
-            for e in picks
+            for e in range(mult + 1)
         ]
     decomps.sort(key=lambda pair: (_poly_key(pair[0]), _poly_key(pair[1])))
 

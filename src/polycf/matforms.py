@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
-from .mobius import _LAST_COLUMN, Mat2, _fraction, _mat_mul, _tree_product
+from .mobius import _LAST_COLUMN, Mat2, _Matrix2, _fraction, _mat_mul, _tree_product
 
 
 def _sym(x):
@@ -54,20 +54,11 @@ def _rf(x) -> RatFunc:
     return x if isinstance(x, RatFunc) else RatFunc(x)
 
 
-class PolyMat2:
+class PolyMat2(_Matrix2):
     """2x2 matrix over polynomials / rational functions in the index."""
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = _sym(a)
-        self.b = _sym(b)
-        self.c = _sym(c)
-        self.d = _sym(d)
-
-    @property
-    def entries(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+    __slots__ = ()
+    _entry = staticmethod(_sym)
 
     @property
     def is_poly(self) -> bool:
@@ -75,11 +66,6 @@ class PolyMat2:
 
     def det(self):
         return _sym(self.a * self.d - self.b * self.c)
-
-    def __mul__(self, other: "PolyMat2") -> "PolyMat2":
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(*_mat_mul(self.entries, other.entries))
 
     def shift(self, k) -> "PolyMat2":
         return PolyMat2(*(e.shift(k) for e in self.entries))
@@ -93,14 +79,6 @@ class PolyMat2:
                 raise ZeroDivisionError(f"matrix entry has a pole at index {i}")
             vals.append(v)
         return Mat2(*vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"PolyMat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"

@@ -31,9 +31,9 @@ product times a fixed ``tail``, the identity by default.  A reader that
 needs one column of the product passes a tail whose first column is zero;
 the tail goes into the last leaf, and every merge with that leaf, the top
 merge among them, then costs 4 big products in place of 8.  ``_mat_mul``
-is the one 2x2 product, used by the tree's merges, ``Mat2``,
-``matforms.PolyMat2`` and ``matforms.cf_form_states``.  The callers of the
-tree, their leaf steps and their tails:
+is the one 2x2 product, used by the tree's merges, ``_Matrix2`` (the shell
+of ``Mat2`` and ``matforms.PolyMat2``) and ``matforms.cf_form_states``.
+The callers of the tree, their leaf steps and their tails:
 
 * ``_tree_state``, from the cleared companion steps (0, b; 1, a) by
   ``_companion_step``, the stream's own step: behind the CLI's ``eval``
@@ -76,11 +76,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat, sqrt_fraction
+from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat
 from .errors import InvalidInput, SingularMatrix
 
 
-class Mat2:
+class _Matrix2:
+    """Row-major 2x2 matrix (a, b; c, d) whose entries pass through the
+    class's ``_entry`` coercion: ``entries``, the product by _mat_mul, and
+    entrywise ``==`` and hash, between matrices of one class."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        entry = self._entry
+        self.a, self.b, self.c, self.d = entry(a), entry(b), entry(c), entry(d)
+
+    @property
+    def entries(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(*_mat_mul(self.entries, other.entries))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+
+class Mat2(_Matrix2):
     """2x2 matrix with exact rational entries, row major (a, b; c, d).
 
     >>> m = Mat2(1, 2, 3, 4)
@@ -92,13 +121,8 @@ class Mat2:
     Fraction(1, 3)
     """
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = rat(a)
-        self.b = rat(b)
-        self.c = rat(c)
-        self.d = rat(d)
+    __slots__ = ()
+    _entry = staticmethod(rat)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -107,12 +131,6 @@ class Mat2:
     @property
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        m, n = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
-        return Mat2(*_mat_mul(m, n))
 
     def inverse(self) -> "Mat2":
         det = self.det
@@ -138,14 +156,6 @@ class Mat2:
         if den == 0:
             return INF
         return (self.a * z + self.b) / den
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
@@ -534,5 +544,6 @@ def constant_cf_limit(A, B) -> CFLimit:
     if disc < 0:
         return CFLimit(CFLimit.OSCILLATES)
     s = 1 if A > 0 else -1
-    root = (sqrt_fraction(disc) * s + (-A)) * Fraction(1, 2)
-    return CFLimit(CFLimit.CONVERGES, root)
+    # sqrt(num/den) = sqrt(num den)/den: one QuadSurd, one squarefree split
+    num, den = disc.numerator, disc.denominator
+    return CFLimit(CFLimit.CONVERGES, QuadSurd(-A / 2, Fraction(s, 2 * den), num * den))

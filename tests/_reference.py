@@ -198,10 +198,10 @@ def reference_splits(blocks) -> list:
     """Every monic split (h1, h2) of the factor blocks [(p, mult), ...],
     sorted by split_key.
 
-    Each pick of exponents e gives h1 = prod p**e and h2 = prod p**(mult-e);
-    a block of degree >= 2 is atomic and goes whole to one side.
+    Each pick of exponents e, every e in 0..mult for every block, gives
+    h1 = prod p**e and h2 = prod p**(mult-e).
     """
-    choices = [(0, m) if p.degree >= 2 else range(m + 1) for p, m in blocks]
+    choices = [range(m + 1) for _, m in blocks]
     splits = []
     for pick in itertools.product(*choices):
         h1 = h2 = Poly.one()

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycf.algebra import (
@@ -36,7 +36,8 @@ from polycf.algebra import (
 from polycf.algebra import MAX_EXPONENT, _is_probable_prime
 from polycf.limits import numeric_limit
 from polycf.mobius import CFSpec, Mat2, constant_cf_limit
-from polycf.errors import PolyParseError
+from polycf import algebra
+from polycf.errors import InvalidInput, PolyParseError
 
 F = Fraction
 
@@ -195,6 +196,16 @@ def test_parse_factored_oracle():
         parse_factored("(n")
     with pytest.raises(PolyParseError):
         parse_factored("")
+
+
+@pytest.mark.parametrize("text, token, pos", [
+    ("(0)(n)^2", "(0)", 0),
+    ("2*( n - n )^3", "( n - n )", 2),
+])
+def test_parse_factored_names_a_zero_block_by_its_text(text, token, pos):
+    with pytest.raises(PolyParseError) as e:
+        parse_factored(text)
+    assert (e.value.token, e.value.pos) == (token, pos)
 
 
 @pytest.mark.parametrize("mult", [MAX_EXPONENT + 1, 10**11])
@@ -508,6 +519,17 @@ def test_rational_roots_with_a_psi12_coefficient():
     assert roots == {F(p): 1, F(q): 1}
 
 
+def test_factoring_past_the_rho_budget_raises(monkeypatch):
+    # psi12 takes 188312 rho steps; under a budget of 1000 nothing partial
+    # comes back, from factor_int or from the root search that calls it
+    monkeypatch.setattr(algebra, "_RHO_STEPS", 1000)
+    with pytest.raises(InvalidInput, match=f"cannot factor {7 * PSI12} "):
+        factor_int(7 * PSI12)
+    p, q = PSI12_FACTORS
+    with pytest.raises(InvalidInput):
+        rational_roots(Poly([PSI12, -(p + q), 1]))
+
+
 # monic, with no rational root, and so are their products
 ROOTLESS = [Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([-2, 0, 1]), Poly([-2, 0, 0, 1]), Poly([1, 1, 0, 1])]
 
@@ -544,6 +566,15 @@ def test_root_search_stops_at_a_linear_quotient():
     assert time.monotonic() - start < 1.0
 
 
+def test_root_search_generates_the_leading_divisors_lazily():
+    # (N x + 1)(x + 1), N = (19!)^2: the root -1 comes from the first of the
+    # 1590435 divisors of the leading coefficient, so the rest are not built
+    big = math.factorial(19) ** 2
+    start = time.process_time()
+    assert rational_roots(Poly([1, big + 1, big])) == {F(-1): 1, F(-1, big): 1}
+    assert time.process_time() - start < 0.05
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [
@@ -558,3 +589,58 @@ def test_factor_int_with_only_large_prime_factors(n, expected):
     assert math.prod(p**e for p, e in factors.items()) == n
     assert all(_is_probable_prime(p) for p in factors)
     assert factors == expected
+
+
+# -- the operators QuadSurd, Poly and RatFunc share ---------------------------
+
+X = Poly.x()
+
+
+@st.composite
+def subtractable_pairs(draw):
+    """Two operands with a difference: from Poly, RatFunc, int and Fraction,
+    or from QuadSurd (one radicand), int and Fraction."""
+    numbers = st.one_of(st.integers(-6, 6), small_fractions)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([2, 3, 5]))
+        kinds = st.one_of(numbers, st.builds(QuadSurd, numbers, numbers, st.just(d)))
+    else:
+        polys = coeff_lists(2).map(Poly)
+        dens = coeff_lists(1).map(Poly).filter(bool)
+        # p r / (q r) reduces to p/q, a Poly when q is constant
+        ratfuncs = st.builds(lambda p, q, r: RatFunc(p * r, q * r), polys, dens, dens)
+        kinds = st.one_of(numbers, polys, ratfuncs)
+    return draw(kinds), draw(kinds)
+
+
+def equal_forms(x):
+    """Values equal to x built another way, in its own type and others."""
+    if isinstance(x, QuadSurd):
+        # sqrt(9 d) = 3 sqrt(d)
+        forms = [QuadSurd(x.u, x.v / 3, 9 * x.d)]
+        return forms + [x.u] if x.is_rational else forms
+    if isinstance(x, RatFunc):
+        forms = [RatFunc(x.num * (X + 2), x.den * (X + 2))]
+        return forms + equal_forms(x.num) if x.is_poly else forms
+    if isinstance(x, Poly):
+        forms = [RatFunc(x), RatFunc(x * (X - 1), X - 1)]
+        if x.degree in (None, 0):
+            c = x.coeff(0)
+            forms += [c, c.numerator] if c.denominator == 1 else [c]
+        return forms
+    return [Poly.const(x), RatFunc(x), QuadSurd(x)]
+
+
+@given(subtractable_pairs())
+@example((Poly.const(5), 5))
+@example((RatFunc(5), 5))
+@example((RatFunc(X), X))
+@settings(max_examples=300, deadline=None)
+def test_subtraction_equality_and_hash_of_the_exact_types(pair):
+    x, k = pair
+    assert k - x == -(x - k)
+    assert x - k == x + (-k)
+    if x == k:
+        assert hash(x) == hash(k)
+    for y in equal_forms(x):
+        assert y == x and x == y and hash(y) == hash(x)

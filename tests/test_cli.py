@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -191,6 +192,37 @@ def test_identify_hint_multiplicity_above_the_bound_is_a_usage_error():
     assert r.stdout == ""
     assert r.stderr.startswith("usage:")
     assert "unexpected token '100000000000' at position 5" in r.stderr
+
+
+def test_identify_zero_hint_block_is_named_by_its_text():
+    r = run_cli("identify", "--a", "2n+1", "--b=-n^2", "--b-factored", "(0)(n)^2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unexpected token '(0)' at position 0" in r.stderr
+
+
+def test_identify_quadratic_hint_block_reports_its_triple():
+    # trivial_triple(n^2+1, n^2+1): a = h1 + h2(n+1), b = -h1 h2
+    r = run_cli("identify", "--a", "2n^2+2n+3", "--b=-n^4-2n^2-1", "--b-factored", "-(n^2+1)^2")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    assert report["solutions"] == [{"h1": ["1", "0", "1"], "h2": ["1", "0", "1"], "f": ["1"]}]
+    assert report["exhaustive"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    # A^2 + 4 = 10^60 + 14*10^30 + 53 for A = 10^30 + 7
+    ("limit", "--a", str(10**30 + 7), "--b", "1"),
+    # the constant is (10^19 + 51)(10^19 + 1053)
+    ("identify", "--a", "2n+1", f"--b=-n^2-{(10**19 + 51) * (10**19 + 1053)}"),
+])
+def test_factoring_budget_ends_the_call_with_exit_1(argv):
+    start = time.monotonic()
+    r = run_cli(*argv)
+    assert time.monotonic() - start < 15
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: InvalidInput: cannot factor ")
 
 
 def test_limit_constant_cf_classifier():

@@ -280,19 +280,22 @@ def test_examined_splits_match_reference_enumeration(variant):
     and reports its rejections in sorted split order.
 
     b has 1-3 distinct integer roots of multiplicity 1-3; "atomic" adds an
-    (n^2+1)^k factor with k = 1 or 2, and "factored" passes the blocks,
-    shuffled, as a hint, so (n^2+1)^2 is one atomic block of multiplicity 2.  a
-    comes from a random split, so some splits are solved and some rejected.
+    (n^2+1)^k factor with k = 1 or 2, which identify sees as one rootless
+    block (n^2+1)^k of multiplicity 1, and "factored" passes the blocks,
+    shuffled, as a hint, so n^2+1 is a block of multiplicity k that splits
+    like any other.  a comes from a random split, so some splits are solved
+    and some rejected.
     """
     rng = random.Random(f"splits-{variant}")
     for _ in range(8):
         roots = rng.sample(range(-3, 4), rng.randint(1, 3))
         blocks = [(X - r, rng.randint(1, 3)) for r in roots]
         if variant != "linear":
-            blocks.append((X**2 + 1, rng.randint(1, 2)))
+            k = rng.randint(1, 2)
+            blocks.append(((X**2 + 1) ** k, 1) if variant == "atomic" else (X**2 + 1, k))
         h1 = h2 = ONE
         for p, m in blocks:
-            e = rng.choice((0, m) if p.degree >= 2 else range(m + 1))
+            e = rng.choice(range(m + 1))
             h1, h2 = h1 * p**e, h2 * p ** (m - e)
         h2 = h2 * rng.choice([1, 2])
         a, b = build_euler_cf(trivial_triple(h1, h2))
@@ -345,6 +348,19 @@ def test_atomic_hint_block_narrows_the_search():
     assert [r.reason for r in hinted.rejections] == [REASON_PATTERN] * 2
     # the same input splits fine when the factoring is left to the search
     assert len(identify(a, b).solutions) >= 3
+
+
+def test_quadratic_hint_block_splits_between_h1_and_h2():
+    """A hint block of degree 2 takes every exponent, like a linear one: the
+    hint (n^2+1)^2 gives the split (n^2+1, n^2+1), which the plain search,
+    seeing the rootless residual as one block, does not visit."""
+    t = trivial_triple(X**2 + 1, X**2 + 1)
+    a, b = build_euler_cf(t)
+    hinted = identify(a, b, factored=parse_factored("-(n^2+1)^2"))
+    assert hinted.solutions == [t]
+    assert not hinted.exhaustive
+    assert_sound(hinted, a, b)
+    assert identify(a, b).solutions == []
 
 
 def test_report_dict_shape():

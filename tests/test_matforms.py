@@ -122,6 +122,24 @@ def test_equality_across_representations():
     assert hash(PolyMat2(X, 0, 0, 1)) == hash(PolyMat2(RatFunc(X), 0, 0, 1))
 
 
+def test_mat2_and_polymat2_product_equality_and_hash():
+    m, n = Mat2(1, 2, 3, 4), Mat2(0, Fraction(1, 2), 1, -1)
+    assert m * n == Mat2(2, Fraction(-3, 2), 4, Fraction(-5, 2))
+    assert Mat2(Fraction(2, 4), 1, 0, 1) == Mat2(Fraction(1, 2), 1, 0, 1)
+    assert len({m * n, Mat2(2, Fraction(-3, 2), 4, Fraction(-5, 2)), m}) == 2
+    # the entry (x^2 + x)/x reduces to the Poly x + 1
+    r = PolyMat2(RatFunc(X * (X + 1), X), 1, 0, X)
+    p = PolyMat2(X + 1, 1, 0, X)
+    assert isinstance(r.a, Poly) and r == p and hash(r) == hash(p)
+    assert r * PolyMat2(1, 0, X, 1) == PolyMat2(2 * X + 1, 1, X**2, X)
+    assert len({r, p, r * PolyMat2(1, 0, 0, 1)}) == 1
+    # the two classes neither compare equal nor multiply
+    assert Mat2(1, 0, 0, 1) != PolyMat2(1, 0, 0, 1)
+    assert PolyMat2(1, 0, 0, 1) != Mat2(1, 0, 0, 1)
+    with pytest.raises(TypeError):
+        Mat2(1, 0, 0, 1) * PolyMat2(1, 0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # coboundary and CF form
 # ---------------------------------------------------------------------------

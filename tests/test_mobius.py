@@ -455,6 +455,18 @@ def test_constant_classifier_oscillation():
     assert constant_cf_limit(2, -2).kind == CFLimit.OSCILLATES  # disc = -4
 
 
+def test_constant_classifier_splits_its_radicand_once(monkeypatch):
+    from polycf import algebra
+
+    calls = []
+    split = algebra.squarefree_split
+    monkeypatch.setattr(algebra, "squarefree_split", lambda n: calls.append(n) or split(n))
+    A, B = Fraction(3, 2), Fraction(5, 7)
+    root = constant_cf_limit(A, B).root
+    assert len(calls) == 1
+    assert root * root + A * root == B and root.sign() == 1
+
+
 def test_constant_classifier_golden():
     res = constant_cf_limit(1, 1)
     assert res.kind == CFLimit.CONVERGES
