@@ -23,21 +23,18 @@ from .algebra import (
     parse_poly,
     poly_gcd,
     rational_roots,
-    sqrt_fraction,
 )
 from .errors import (
     DegenerateTerm,
     InvalidInput,
     NonTelescoping,
     NotDivisible,
-    OrbitPole,
     PoleInFormula,
     PolycfError,
     PolyParseError,
     PreconditionViolated,
     SingularMatrix,
     ZeroCEntry,
-    ZeroDiagonal,
     ZeroF,
     ZeroScaler,
 )
@@ -46,7 +43,6 @@ from .mobius import (
     CFSpec,
     ConvergentState,
     Mat2,
-    cf_step_matrix,
     cf_value,
     constant_cf_limit,
     convergents,
@@ -60,7 +56,6 @@ from .euler import (
     euler_partial_value,
     euler_sum,
     euler_sum_to_cf,
-    solve_c_recurrence,
     trivial_triple,
 )
 from .identify import (
@@ -91,12 +86,9 @@ from .matforms import (
     eigen_check,
     euler_cf_matrix,
     euler_left_eigen,
-    euler_right_eigen,
     rederive_euler_sum,
     to_cf_form,
     to_integral_cf_form,
-    triangular_product,
-    triangular_product_at_zero,
     triangularize,
 )
 
@@ -106,17 +98,16 @@ __all__ = [
     # algebra
     "INF", "Infinity", "Poly", "QuadSurd", "Rat", "RatFunc", "factor_integer_rooted",
     "is_inf", "parse_factored", "parse_poly", "poly_gcd", "rational_roots",
-    "sqrt_fraction",
     # errors
-    "DegenerateTerm", "InvalidInput", "NonTelescoping", "NotDivisible", "OrbitPole",
+    "DegenerateTerm", "InvalidInput", "NonTelescoping", "NotDivisible",
     "PoleInFormula", "PolycfError", "PolyParseError", "PreconditionViolated",
-    "SingularMatrix", "ZeroCEntry", "ZeroDiagonal", "ZeroF", "ZeroScaler",
+    "SingularMatrix", "ZeroCEntry", "ZeroF", "ZeroScaler",
     # mobius
-    "CFLimit", "CFSpec", "ConvergentState", "Mat2", "cf_step_matrix", "cf_value",
+    "CFLimit", "CFSpec", "ConvergentState", "Mat2", "cf_value",
     "constant_cf_limit", "convergents", "convergents_from_terms", "product_apply",
     # euler
     "EulerTriple", "build_euler_cf", "equivalence_transform", "euler_partial_value",
-    "euler_sum", "euler_sum_to_cf", "solve_c_recurrence", "trivial_triple",
+    "euler_sum", "euler_sum_to_cf", "trivial_triple",
     # identify
     "IdentifyReport", "Rejection", "candidate_degrees", "identify",
     "leading_coeff_split", "solve_f",
@@ -126,7 +117,6 @@ __all__ = [
     "telescoping_zeta_sum",
     # matforms
     "EigenSeq", "PolyMat2", "cf_form_states", "coboundary_check", "eigen_check",
-    "euler_cf_matrix", "euler_left_eigen", "euler_right_eigen", "rederive_euler_sum",
-    "to_cf_form", "to_integral_cf_form", "triangular_product",
-    "triangular_product_at_zero", "triangularize",
+    "euler_cf_matrix", "euler_left_eigen", "rederive_euler_sum",
+    "to_cf_form", "to_integral_cf_form", "triangularize",
 ]

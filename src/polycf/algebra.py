@@ -108,27 +108,46 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-# The most steps one Pollard rho search may take.  It needs about sqrt(p)
-# steps for the least prime factor p: psi12 = 399165290221 * 798330580441
-# takes 188312.  On one x86-64 core the cap is 3-4 s on a 130-200 bit number.
+# The most steps one Pollard rho search may take, counting every evaluation
+# of y -> y^2 + c.  It needs about sqrt(p) steps for the least prime factor
+# p: psi12 = 399165290221 * 798330580441 takes 450558.  On one x86-64 core
+# the cap is 0.5-0.7 s on a 127-200 bit number.
 _RHO_STEPS = 1 << 20
+# steps whose products |x - y| share one gcd
+_RHO_BATCH = 128
 
 
 def _pollard_rho(n: int) -> int | None:
-    # Floyd's cycle detection (tortoise and hare); n must be composite and
-    # odd.  None once _RHO_STEPS steps are spent without a proper divisor.
+    # Brent's cycle search; n must be composite and odd.  x holds the walk
+    # at the start of each round; the round moves y on r steps, then r more
+    # while it multiplies up |x - y|, one gcd per batch, and doubles r.  A
+    # batch whose gcd is n is walked again one step at a time.  None once a
+    # round would pass _RHO_STEPS steps without a proper divisor.
     steps = 0
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            if steps == _RHO_STEPS:
+            if steps + 2 * r > _RHO_STEPS:
                 return None
-            steps += 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            steps += r + min(k, r)
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                steps += 1
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
         if d != n:
             return d
     return None
@@ -198,7 +217,9 @@ class _Exact:
     type's ``_coerce`` (an operand of the type, or None), ``+``, unary ``-``
     and ``_key()``, a canonical form of the value.  A rational value's key is
     that Fraction and a Poly-valued RatFunc's is the Poly's, so x == y gives
-    hash(x) == hash(y) across the three types, int and Fraction."""
+    hash(x) == hash(y) across the three types, int and Fraction.  Two of the
+    types that do not coerce each other compare by key, which keeps ==
+    transitive: a rational QuadSurd equals the constant Poly of its value."""
 
     __slots__ = ()
 
@@ -217,7 +238,7 @@ class _Exact:
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self._key() == other._key() if isinstance(other, _Exact) else NotImplemented
         return self._key() == o._key()
 
     def __hash__(self):
@@ -346,15 +367,6 @@ class QuadSurd(_Exact):
             return tail if self.v > 0 else "-" + tail
         op = "+" if self.v > 0 else "-"
         return f"{self.u} {op} {tail}"
-
-
-def sqrt_fraction(q: Fraction) -> QuadSurd:
-    """Exact sqrt of a nonnegative rational as a QuadSurd."""
-    q = rat(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    # sqrt(p/q) = sqrt(p*q)/q
-    return QuadSurd(0, Fraction(1, q.denominator), q.numerator * q.denominator)
 
 
 # ---------------------------------------------------------------------------

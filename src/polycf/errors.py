@@ -54,10 +54,6 @@ class PoleInFormula(PolycfError):
         super().__init__(f"{label} vanishes at k = {k}")
 
 
-class OrbitPole(PolycfError):
-    """The c-recurrence hit a zero denominator."""
-
-
 class NonTelescoping(PolycfError):
     """The summand is outside the telescoping regime."""
 
@@ -72,7 +68,3 @@ class ZeroCEntry(PolycfError):
 
 class ZeroF(PolycfError):
     """Triangularization needs an eigenvector component F with F(i) != 0."""
-
-
-class ZeroDiagonal(PolycfError):
-    """Triangular product closed form needs nonzero diagonal entries."""

@@ -30,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, horner, rat, rational_roots
+from .algebra import INF, Poly, horner, rational_roots
 from .errors import (
     DegenerateTerm,
     InvalidInput,
     NotDivisible,
-    OrbitPole,
     PoleInFormula,
     ZeroScaler,
 )
@@ -98,15 +97,14 @@ def euler_sum(r, n: int) -> Fraction:
     return total
 
 
-def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
+def euler_sum_to_cf(r) -> CFSpec:
     """CFSpec with terms b(i) = -r(i), a(i) = 1 + r(i).
 
     The value identity is euler_sum(r, n) == 1/(1 + cf_value(cf, n)).
-    A term r(i) = -1 zeroes the partial denominator; it raises
-    DegenerateTerm(i) when the term is materialized.
+    An explicit list or tuple is read here, in order; a Poly or callable is
+    read when the CF is evaluated.  A term r(i) = -1 zeroes the partial
+    denominator; it raises DegenerateTerm(i) when the term is read.
     """
-    if isinstance(r, (list, tuple)) and length is None:
-        length = len(r)
 
     def r_of(i: int) -> Fraction:
         ri = _term(r, i - 1, i)
@@ -114,10 +112,9 @@ def euler_sum_to_cf(r, length: int | None = None) -> CFSpec:
             raise DegenerateTerm(i)
         return ri
 
-    if length is None:
+    if not isinstance(r, (list, tuple)):
         return CFSpec(b=lambda i: -r_of(i), a=lambda i: 1 + _term(r, i - 1, i))
-    _check_length(r, length, "r")
-    rs = [r_of(i) for i in range(1, length + 1)]
+    rs = [r_of(i) for i in range(1, len(r) + 1)]
     return CFSpec(b=[-ri for ri in rs], a=[1 + ri for ri in rs])
 
 
@@ -127,18 +124,16 @@ def _check_length(seq, count: int, name: str) -> None:
         raise InvalidInput(f"{name} has {len(seq)} terms, needed {count}")
 
 
-def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
+def equivalence_transform(b, a, c, n: int | None = None):
     """Rescale a CF without changing its value.
 
     With scalers c(0), c(1), ... (all nonzero) the CF K b(i)/a(i) equals
     (1/c(0)) * K b'(i)/a'(i) where b'(i) = c(i-1) c(i) b(i) and
     a'(i) = c(i) a(i).
 
-    `shift` reindexes first: the transform is applied to the tail starting
-    at original index shift+1, i.e. b and a are read at i+shift (explicit
-    lists at position i-1+shift, so they hold n+shift terms) while c is
-    read at the new index.  (Useful when c(0) would otherwise be zero: peel
-    the head term off by hand and transform the tail.)
+    To transform the tail from index k+1 on (say, when c(0) would be zero:
+    peel the head terms off by hand), pass b and a shifted: b.shift(k),
+    lambda i: b(i + k), or the list from position k on.
 
     Polynomial mode (b, a, c Polys and n None) returns Polys; otherwise n is
     required and explicit lists for indices 1..n are returned.  The third
@@ -156,24 +151,20 @@ def equivalence_transform(b, a, c, n: int | None = None, shift: int = 0):
         for root in rational_roots(c):
             if root.denominator == 1 and root > 0:
                 raise ZeroScaler(f"c({root}) = 0")
-        b2 = c.shift(-1) * c * b.shift(shift)
-        a2 = c * a.shift(shift)
+        b2 = c.shift(-1) * c * b
+        a2 = c * a
         return b2, a2, 1 / c0
     _check_length(c, n + 1, "c")
-    _check_length(b, n + shift, "b")
-    _check_length(a, n + shift, "a")
+    _check_length(b, n, "b")
+    _check_length(a, n, "a")
     c_vals = []
     for j in range(0, n + 1):
         cj = _term(c, j, j)
         if cj == 0:
             raise ZeroScaler(f"c({j}) = 0")
         c_vals.append(cj)
-    bs, as_ = [], []
-    for j in range(1, n + 1):
-        bj = _term(b, j - 1 + shift, j + shift)
-        aj = _term(a, j - 1 + shift, j + shift)
-        bs.append(c_vals[j - 1] * c_vals[j] * bj)
-        as_.append(c_vals[j] * aj)
+    bs = [c_vals[j - 1] * c_vals[j] * _term(b, j - 1, j) for j in range(1, n + 1)]
+    as_ = [c_vals[j] * _term(a, j - 1, j) for j in range(1, n + 1)]
     return bs, as_, 1 / c_vals[0]
 
 
@@ -230,20 +221,3 @@ def euler_partial_value(t: EulerTriple, n: int):
         return INF
     return _fraction(fv[1] * h2v[1] * (d - s), fv[0] * D2 * s)
 
-
-def solve_c_recurrence(b, a, c0, n: int) -> list[Fraction]:
-    """Orbit of c(i) = 1 / (a(i) + c(i-1) b(i)) from c(0) = c0.
-
-    Returns [c(0), ..., c(n)].  Each c(i) satisfies the unit-row condition
-    c(i) a(i) + c(i-1) c(i) b(i) = 1.  Raises OrbitPole on a zero
-    denominator.
-    """
-    _check_length(a, n, "a")
-    _check_length(b, n, "b")
-    orbit = [rat(c0)]
-    for i in range(1, n + 1):
-        den = _term(a, i - 1, i) + orbit[-1] * _term(b, i - 1, i)
-        if den == 0:
-            raise OrbitPole(f"a({i}) + c({i - 1}) b({i}) = 0")
-        orbit.append(1 / den)
-    return orbit

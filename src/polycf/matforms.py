@@ -22,10 +22,8 @@ denominator), the scaled step
 
 is integral, and the scalar factors cancel in corner/prod_g.
 
-Both triangular products run ``mobius._tree_product`` with the leaf step
-``_triangular_step``: ``rederive_euler_sum`` on these scaled steps, and
-``triangular_product`` on the (alpha, beta, gamma) that ``_upper_steps``
-reads for it and for ``triangular_product_at_zero``.
+``rederive_euler_sum`` multiplies these scaled steps by
+``mobius._tree_product`` with the leaf step ``_triangular_step``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
-from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroDiagonal, ZeroF
+from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroF
 from .mobius import _LAST_COLUMN, Mat2, _Matrix2, _fraction, _mat_mul, _tree_product
 
 
@@ -198,33 +196,21 @@ def cf_form_states(m: PolyMat2, n: int) -> list[Mat2]:
 
 @dataclass(frozen=True)
 class EigenSeq:
-    """A polynomial eigenvector family for a matrix family M(i).
+    """A polynomial left eigenvector family for a matrix family M(i):
 
-    side "left":  (g(i), f(i)) M(i) = eigenvalue(i) (g(i+1), f(i+1));
-    side "right": M(i) (f(i+1); -g(i+1)) = eigenvalue(i) (f(i); -g(i)).
-    The same (g, f) pair can serve both sides with different eigenvalues;
-    the two eigenvalues then multiply to det M.
+    (g(i), f(i)) M(i) = eigenvalue(i) (g(i+1), f(i+1)).
     """
 
     g: Poly
     f: Poly
     eigenvalue: object
-    side: str
-
-    LEFT = "left"
-    RIGHT = "right"
 
 
 def eigen_check(m: PolyMat2, e: EigenSeq) -> bool:
-    """Verify the eigenvector identity of e against m, exactly."""
+    """Verify the left eigenvector identity of e against m, exactly."""
     a, b, c, d = m.entries
     g, f, lam = e.g, e.f, e.eigenvalue
-    gp, fp = g.shift(1), f.shift(1)
-    if e.side == EigenSeq.LEFT:
-        return g * a + f * c == lam * gp and g * b + f * d == lam * fp
-    if e.side == EigenSeq.RIGHT:
-        return a * fp - b * gp == lam * f and c * fp - d * gp == -(lam * g)
-    raise InvalidInput(f"unknown side {e.side!r}")
+    return g * a + f * c == lam * g.shift(1) and g * b + f * d == lam * f.shift(1)
 
 
 def euler_cf_matrix(h1: Poly, h2: Poly) -> PolyMat2:
@@ -234,12 +220,7 @@ def euler_cf_matrix(h1: Poly, h2: Poly) -> PolyMat2:
 
 def euler_left_eigen(h1: Poly, h2: Poly) -> EigenSeq:
     """(1, h2(i)) is a left eigenvector of the Euler step matrix, eigenvalue h2."""
-    return EigenSeq(Poly.one(), h2, h2, EigenSeq.LEFT)
-
-
-def euler_right_eigen(h1: Poly, h2: Poly) -> EigenSeq:
-    """(h2(i+1); -1) is a right eigenvector of the Euler step matrix, eigenvalue h1."""
-    return EigenSeq(Poly.one(), h2, h1, EigenSeq.RIGHT)
+    return EigenSeq(Poly.one(), h2, h2)
 
 
 def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
@@ -249,8 +230,6 @@ def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
     eigenvector family: T(i) = U(i) M(i) U(i+1)^{-1} = (alpha, b/(f f+);
     0, lambda) with alpha = det M / lambda.  Returns (T, alpha).
     """
-    if left.side != EigenSeq.LEFT:
-        raise InvalidInput("triangularize needs a left eigenvector family")
     if left.f.is_zero:
         raise ZeroF("eigenvector second component is identically zero")
     if not eigen_check(m, left):
@@ -265,58 +244,11 @@ def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
     return t, alpha
 
 
-def _upper_steps(terms, n: int):
-    """(alpha, beta, gamma) of each upper triangular T(i) = (alpha, beta;
-    0, gamma), i = 1 .. n-1.
-
-    terms is a callable i -> Mat2 or a list (index i at position i-1).
-    """
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
-    for i in range(1, n):
-        if callable(terms):
-            t = terms(i)
-        else:
-            try:
-                t = terms[i - 1]
-            except IndexError:
-                raise InvalidInput(f"matrix sequence exhausted at index {i}") from None
-        if t.c != 0:
-            raise InvalidInput(f"matrix at index {i} is not upper triangular")
-        yield t.a, t.b, t.d
-
-
 def _triangular_step(leaf: tuple, step: tuple) -> tuple:
     """leaf * (alpha, beta; 0, gamma) for an upper triangular leaf."""
     a, b, _, d = leaf
     alpha, beta, gamma = step
     return (a * alpha, a * beta + b * gamma, 0, d * gamma)
-
-
-def triangular_product(terms, n: int) -> Mat2:
-    """prod_{i=1}^{n-1} T(i) for upper triangular T, as a balanced product
-    tree (mobius._tree_product) whose leaves are multiplied out by
-    _triangular_step.
-
-    terms is a callable i -> Mat2 or a list (index i at position i-1).
-    """
-    return Mat2(*_tree_product(_upper_steps(terms, n), _triangular_step))
-
-
-def triangular_product_at_zero(terms, n: int) -> Fraction:
-    """[prod_{i=1}^{n-1} T(i)](0) as a telescoping sum.
-
-    Equals sum_{k=1}^{n-1} (beta_k / gamma_k) prod_{i=1}^{k-1}
-    (alpha_i / gamma_i); needs every gamma_k nonzero (ZeroDiagonal).
-    """
-    ratio = Fraction(1)
-    total = Fraction(0)
-    for k, (alpha, beta, gamma) in enumerate(_upper_steps(terms, n), 1):
-        if gamma == 0:
-            raise ZeroDiagonal(f"zero lower diagonal entry at index {k}")
-        total += ratio * beta / gamma
-        ratio *= alpha / gamma
-    return total
 
 
 def rederive_euler_sum(h1: Poly, h2: Poly, n: int):

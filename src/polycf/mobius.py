@@ -42,10 +42,9 @@ The callers of the tree, their leaf steps and their tails:
   argument z = u/v ((L, 0) for INF, (0, 1) for 0);
 * ``euler.euler_partial_value`` from the summand ratios of its closed form,
   with the tail (0, 1; 0, 1), which gives a + b and d of (a, b; 0, d);
-* ``matforms.rederive_euler_sum`` from scaled integer triangular steps,
-  with the tail (0, 0; 0, 1), which keeps its corner and prod_g, and
-  ``matforms.triangular_product`` from the (alpha, beta, gamma) of its Mat2
-  terms with the identity, both by ``matforms._triangular_step``.
+* ``matforms.rederive_euler_sum`` from scaled integer triangular steps by
+  ``matforms._triangular_step``, with the tail (0, 0; 0, 1), which keeps
+  its corner and prod_g.
 
 ``_fraction(p, q)`` is the one reducer of deep integer pairs, behind
 ``ConvergentState.value``, ``cf_value``, ``product_apply``, the
@@ -159,11 +158,6 @@ class Mat2(_Matrix2):
 
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def cf_step_matrix(b, a) -> Mat2:
-    """The step matrix (0, b; 1, a) of one CF term."""
-    return Mat2(0, b, 1, a)
 
 
 # ---------------------------------------------------------------------------

@@ -324,23 +324,15 @@ def reference_euler_partial_value(t, n: int):
     return (fv[1] * h2v[1] / fv[0]) * (1 / total - 1)
 
 
-def reference_triangular_product(terms, n: int) -> Mat2:
-    """prod_{i=1}^{n-1} T(i) in one pass: the diagonal multiplies out and the
-    corner obeys C_m = C_{m-1} gamma_m + (prod_{i<m} alpha_i) beta_m."""
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
+def reference_triangular_product(term, n: int) -> Mat2:
+    """prod_{i=1}^{n-1} T(i) for the upper triangular T(i) = term(i), in one
+    pass: the diagonal multiplies out and the corner obeys
+    C_m = C_{m-1} gamma_m + (prod_{i<m} alpha_i) beta_m."""
     prod_a = Fraction(1)
     corner = Fraction(0)
     prod_g = Fraction(1)
     for i in range(1, n):
-        if callable(terms):
-            t = terms(i)
-        elif i - 1 < len(terms):
-            t = terms[i - 1]
-        else:
-            raise InvalidInput(f"matrix sequence exhausted at index {i}")
-        if t.c != 0:
-            raise InvalidInput(f"matrix at index {i} is not upper triangular")
+        t = term(i)
         corner = corner * t.d + prod_a * t.b
         prod_a *= t.a
         prod_g *= t.d

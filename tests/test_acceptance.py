@@ -10,7 +10,6 @@ terminal summary (see conftest) prints one PASS/FAIL line per criterion.
 import random
 import time
 from fractions import Fraction
-from functools import reduce
 
 from polycf import (
     CFSpec,
@@ -38,7 +37,6 @@ from polycf import (
     rederive_euler_sum,
     telescoped_summand,
     telescoping_zeta_sum,
-    triangular_product,
     trivial_triple,
 )
 from polycf.identify import REASON_IRRATIONAL
@@ -331,19 +329,6 @@ def test_criterion_11_matrix_form_suite():
         n = rng.randint(1, 12)
         expected = euler_partial_value(trivial_triple(h1, h2), n - 1)
         assert rederive_euler_sum(h1, h2, n) == expected
-
-    # fast triangular product equals the literal left-to-right product
-    for _ in range(12):
-        n = rng.randint(1, 20)
-        mats = []
-        for _ in range(n):
-            alpha, gamma = Fraction(0), Fraction(0)
-            while alpha == 0:
-                alpha = _rational(rng, -3, 3, 2)
-            while gamma == 0:
-                gamma = _rational(rng, -3, 3, 2)
-            mats.append(Mat2(alpha, _rational(rng, -3, 3, 2), Fraction(0), gamma))
-        assert triangular_product(mats, n + 1) == reduce(lambda x, y: x * y, mats)
     _budget(start, 15.0)
 
 

@@ -28,12 +28,11 @@ from polycf.algebra import (
     poly_gcd,
     rational_roots,
     rational_sqrt,
-    sqrt_fraction,
     rat,
     squarefree_split,
     taylor_div,
 )
-from polycf.algebra import MAX_EXPONENT, _is_probable_prime
+from polycf.algebra import MAX_EXPONENT, _is_probable_prime, _pollard_rho
 from polycf.limits import numeric_limit
 from polycf.mobius import CFSpec, Mat2, constant_cf_limit
 from polycf import algebra
@@ -265,9 +264,8 @@ def test_quad_surd_approx_error_does_not_grow_with_v():
 
 
 def test_sqrt_fraction_oracle():
-    assert sqrt_fraction(F(9, 4)) == QuadSurd(F(3, 2))
-    s = sqrt_fraction(F(8, 9))
-    assert s == QuadSurd(0, F(2, 3), 2)
+    assert rational_sqrt(F(9, 4)) == F(3, 2)
+    assert rational_sqrt(F(8, 9)) is None
     assert rational_sqrt(F(49, 64)) == F(7, 8)
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(-1)) is None
@@ -519,8 +517,18 @@ def test_rational_roots_with_a_psi12_coefficient():
     assert roots == {F(p): 1, F(q): 1}
 
 
+def test_pollard_rho_splits_small_semiprimes():
+    # with both primes small, one batch of steps often closes both cycles,
+    # so its gcd is n and the batch is walked again one step at a time
+    primes = [p for p in range(43, 600) if _is_probable_prime(p)]
+    rng = random.Random(17)
+    for _ in range(300):
+        p, q = rng.sample(primes, 2)
+        assert _pollard_rho(p * q) in (p, q)
+
+
 def test_factoring_past_the_rho_budget_raises(monkeypatch):
-    # psi12 takes 188312 rho steps; under a budget of 1000 nothing partial
+    # psi12 takes 450558 rho steps; under a budget of 1000 nothing partial
     # comes back, from factor_int or from the root search that calls it
     monkeypatch.setattr(algebra, "_RHO_STEPS", 1000)
     with pytest.raises(InvalidInput, match=f"cannot factor {7 * PSI12} "):
@@ -618,7 +626,7 @@ def equal_forms(x):
     if isinstance(x, QuadSurd):
         # sqrt(9 d) = 3 sqrt(d)
         forms = [QuadSurd(x.u, x.v / 3, 9 * x.d)]
-        return forms + [x.u] if x.is_rational else forms
+        return forms + [x.u, Poly.const(x.u), RatFunc(x.u)] if x.is_rational else forms
     if isinstance(x, RatFunc):
         forms = [RatFunc(x.num * (X + 2), x.den * (X + 2))]
         return forms + equal_forms(x.num) if x.is_poly else forms
@@ -626,7 +634,7 @@ def equal_forms(x):
         forms = [RatFunc(x), RatFunc(x * (X - 1), X - 1)]
         if x.degree in (None, 0):
             c = x.coeff(0)
-            forms += [c, c.numerator] if c.denominator == 1 else [c]
+            forms += [c, QuadSurd(c)] + ([c.numerator] if c.denominator == 1 else [])
         return forms
     return [Poly.const(x), RatFunc(x), QuadSurd(x)]
 
@@ -644,3 +652,23 @@ def test_subtraction_equality_and_hash_of_the_exact_types(pair):
         assert hash(x) == hash(k)
     for y in equal_forms(x):
         assert y == x and x == y and hash(y) == hash(x)
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_equality_is_transitive_across_the_exact_types(values):
+    """Each value in all five types (int where integral), beside X and an
+    irrational QuadSurd: == is an equivalence relation on the lot, and
+    equal values hash alike."""
+    items = [X, QuadSurd(0, 1, 2)]
+    for q in values:
+        items += [q, Poly.const(q), RatFunc(q), QuadSurd(q)]
+        items += [q.numerator] if q.denominator == 1 else []
+    eq = [[x == y for y in items] for x in items]
+    for i, x in enumerate(items):
+        for j, y in enumerate(items):
+            assert eq[i][j] == eq[j][i]
+            if eq[i][j]:
+                # x and y equal the same items, so == is transitive
+                assert eq[i] == eq[j] and hash(x) == hash(y)
+    assert len(set(items)) == len(set(values)) + 2

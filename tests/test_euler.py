@@ -15,7 +15,6 @@ from polycf import (
     EulerTriple,
     InvalidInput,
     NotDivisible,
-    OrbitPole,
     Poly,
     PoleInFormula,
     ZeroScaler,
@@ -26,7 +25,6 @@ from polycf import (
     euler_sum,
     euler_sum_to_cf,
     parse_poly,
-    solve_c_recurrence,
     trivial_triple,
 )
 
@@ -101,17 +99,18 @@ def test_degenerate_term_lazy():
 def test_eager_form_reads_each_term_once_in_order():
     calls = []
 
-    def r(i):
-        calls.append(i)
-        return Fraction(-1) if i == 4 else Fraction(1, i)
+    class Recorded(list):
+        def __getitem__(self, pos):
+            calls.append(pos + 1)
+            return super().__getitem__(pos)
 
-    cf = euler_sum_to_cf(r, length=3)
+    cf = euler_sum_to_cf(Recorded([Fraction(1, i) for i in range(1, 4)]))
     assert calls == [1, 2, 3]
     assert cf.b == [-1, Fraction(-1, 2), Fraction(-1, 3)]
     assert cf.a == [2, Fraction(3, 2), Fraction(4, 3)]
     calls.clear()
     with pytest.raises(DegenerateTerm) as exc:
-        euler_sum_to_cf(r, length=6)
+        euler_sum_to_cf(Recorded([Fraction(-1) if i == 4 else Fraction(1, i) for i in range(1, 7)]))
     assert calls == [1, 2, 3, 4]
     assert exc.value.index == 4
 
@@ -160,12 +159,8 @@ def test_equivalence_zero_scaler():
 def test_short_explicit_sequences_are_invalid_input():
     with pytest.raises(InvalidInput, match="r has 2 terms, needed 3"):
         euler_sum([1, 2], 3)
-    with pytest.raises(InvalidInput):
-        euler_sum_to_cf([1, 2], length=3)
     with pytest.raises(InvalidInput, match="c has 2 terms, needed 3"):
         equivalence_transform([1, 1], [1, 1], [1, 1], n=2)
-    with pytest.raises(InvalidInput):
-        solve_c_recurrence([1, 1], [1], 1, 2)
 
 
 def test_equivalence_sequence_mode_matches_poly_mode():
@@ -179,17 +174,21 @@ def test_equivalence_sequence_mode_matches_poly_mode():
 
 @pytest.mark.parametrize("shift", [0, 1, 2])
 def test_equivalence_sequence_mode_reads_lists_at_the_shift(shift):
+    # the tail from index shift + 1 on, passed shifted in each of the
+    # three forms: a Poly, a callable, a list
     b, a, c = parse_poly("n^2"), parse_poly("2n+1"), parse_poly("n+3")
     n = 6
-    bl = [b(Fraction(i)) for i in range(1, n + shift + 1)]
-    al = [a(Fraction(i)) for i in range(1, n + shift + 1)]
-    want = equivalence_transform(b, a, c, n=n, shift=shift)
-    assert equivalence_transform(bl, al, c, n=n, shift=shift) == want
-    assert equivalence_transform(lambda i: b(i), lambda i: a(i), c, n=n, shift=shift) == want
-    b2, a2, scale = equivalence_transform(b, a, c, shift=shift)
+    bl = [b(Fraction(i)) for i in range(shift + 1, n + shift + 1)]
+    al = [a(Fraction(i)) for i in range(shift + 1, n + shift + 1)]
+    want = equivalence_transform(b.shift(shift), a.shift(shift), c, n=n)
+    assert want[0] == [c(Fraction(j - 1)) * c(Fraction(j)) * b(Fraction(j + shift)) for j in range(1, n + 1)]
+    assert want[1] == [c(Fraction(j)) * a(Fraction(j + shift)) for j in range(1, n + 1)]
+    assert equivalence_transform(bl, al, c, n=n) == want
+    assert equivalence_transform(lambda i: b(i + shift), lambda i: a(i + shift), c, n=n) == want
+    b2, a2, scale = equivalence_transform(b.shift(shift), a.shift(shift), c)
     assert want == ([b2(Fraction(i)) for i in range(1, n + 1)], [a2(Fraction(i)) for i in range(1, n + 1)], scale)
-    with pytest.raises(InvalidInput, match=f"b has {n + shift - 1} terms, needed {n + shift}"):
-        equivalence_transform(bl[:-1], al, c, n=n, shift=shift)
+    with pytest.raises(InvalidInput, match=f"b has {n - 1} terms, needed {n}"):
+        equivalence_transform(bl[:-1], al, c, n=n)
 
 
 def test_equivalence_shift_device_exponential_tail():
@@ -201,7 +200,9 @@ def test_equivalence_shift_device_exponential_tail():
     def a_orig(i):
         return 1 + Fraction(1, i)
 
-    bs, as_, scale = equivalence_transform(b_orig, a_orig, lambda j: j + 1, n=10, shift=1)
+    bs, as_, scale = equivalence_transform(
+        lambda i: b_orig(i + 1), lambda i: a_orig(i + 1), lambda j: j + 1, n=10
+    )
     assert scale == 1
     assert bs == [Fraction(-j) for j in range(1, 11)]
     assert as_ == [Fraction(j + 2) for j in range(1, 11)]
@@ -290,30 +291,16 @@ def test_nonuniqueness_two_triples_same_cf():
 # --- the scaler recurrence ---
 
 
-def test_solve_c_recurrence_unit_row():
-    rng = random.Random(5)
-    bs = [Fraction(rng.randint(1, 9)) for _ in range(12)]
-    as_ = [Fraction(rng.randint(1, 9)) for _ in range(12)]
-    orbit = solve_c_recurrence(bs, as_, Fraction(1, 2), 12)
-    assert len(orbit) == 13
-    for i in range(1, 13):
-        assert orbit[i] * as_[i - 1] + orbit[i - 1] * orbit[i] * bs[i - 1] == 1
-
-
 def test_solve_c_recurrence_closed_form():
-    # for an Euler triple, c(i) = f(i) / (f(i+1) h2(i+1)) solves the recurrence
+    # for an Euler triple, c(i) = f(i) / (f(i+1) h2(i+1)) satisfies the
+    # unit-row condition c(i) a(i) + c(i-1) c(i) b(i) = 1
     t = EulerTriple(2 * (X + 2), 3 * (X + 1), X + 2)
-    f, h2 = t.f, t.h2
-    c0 = f(Fraction(0)) / (f(Fraction(1)) * h2(Fraction(1)))
-    orbit = solve_c_recurrence(t.b, t.a, c0, 10)
-    for i in range(11):
-        fi = Fraction(i)
-        assert orbit[i] == f(fi) / (f(fi + 1) * h2(fi + 1))
 
+    def c(i):
+        return t.f(i) / (t.f(i + 1) * t.h2(i + 1))
 
-def test_solve_c_recurrence_pole():
-    with pytest.raises(OrbitPole):
-        solve_c_recurrence([-1], [1], 1, 1)
+    for i in map(Fraction, range(1, 11)):
+        assert c(i) * t.a(i) + c(i - 1) * c(i) * t.b(i) == 1
 
 
 def test_partial_value_rejects_negative_depth():

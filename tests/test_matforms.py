@@ -1,12 +1,12 @@
 """Tests for matrix normal forms: companion (CF) shape via coboundaries,
-eigenvector-driven triangularization, and the one-pass triangular product.
+eigenvector-driven triangularization, and the triangular route to partial
+CF values.
 
 Brute-force matrix products over exact rationals serve as the second route
 for every structural claim.
 """
 
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,6 @@ from polycf import (
     PolyMat2,
     RatFunc,
     ZeroCEntry,
-    ZeroDiagonal,
     ZeroF,
     cf_form_states,
     cf_value,
@@ -31,13 +30,10 @@ from polycf import (
     eigen_check,
     euler_cf_matrix,
     euler_left_eigen,
-    euler_right_eigen,
     euler_partial_value,
     rederive_euler_sum,
     to_cf_form,
     to_integral_cf_form,
-    triangular_product,
-    triangular_product_at_zero,
     triangularize,
     trivial_triple,
 )
@@ -46,9 +42,8 @@ from _reference import (
     outcome,
     reference_cf_form_states,
     reference_rederive_euler_sum,
-    reference_triangular_product,
 )
-from _strategies import nonzero_polys, polys, small_fractions, trivial_pairs
+from _strategies import nonzero_polys, polys, trivial_pairs
 
 X = Poly.x()
 ONE = Poly.one()
@@ -280,19 +275,21 @@ def test_euler_eigen_pairs():
     m = euler_cf_matrix(h1, h2)
     assert m == PolyMat2(0, -(h1 * h2), 1, h1 + h2.shift(1))
     left = euler_left_eigen(h1, h2)
-    right = euler_right_eigen(h1, h2)
+    assert left == EigenSeq(ONE, h2, h2)
     assert eigen_check(m, left)
-    assert eigen_check(m, right)
+    # (h2(i+1); -1) is a right eigenvector with eigenvalue h1:
+    # M(i) (h2(i+1); -1) = h1(i) (h2(i); -1)
+    assert m * PolyMat2(h2.shift(1), 0, -1, 0) == PolyMat2(h1 * h2, 0, -h1, 0)
     # the two eigenvalues factor the determinant
-    assert RatFunc(left.eigenvalue) * RatFunc(right.eigenvalue) == RatFunc(m.det())
+    assert RatFunc(left.eigenvalue) * RatFunc(h1) == RatFunc(m.det())
 
 
 def test_eigen_check_rejects():
     h1, h2 = X + 1, X + 2
     m = euler_cf_matrix(h1, h2)
-    assert not eigen_check(m, EigenSeq(ONE, h2, h1, EigenSeq.LEFT))
-    with pytest.raises(InvalidInput):
-        eigen_check(m, EigenSeq(ONE, h2, h2, "up"))
+    # h1 is the right eigenvector's eigenvalue, not the left one's
+    assert not eigen_check(m, EigenSeq(ONE, h2, h1))
+    assert not eigen_check(m, EigenSeq(ONE, h1, h2))
 
 
 def test_triangularize_euler_family():
@@ -305,7 +302,7 @@ def test_triangularize_euler_family():
 
 def test_triangularize_keeps_already_triangular():
     m = PolyMat2(X, 1, 0, X + 1)
-    left = EigenSeq(Poly.zero(), ONE, X + 1, EigenSeq.LEFT)
+    left = EigenSeq(Poly.zero(), ONE, X + 1)
     t, alpha = triangularize(m, left)
     assert (t, alpha) == (m, X)
 
@@ -314,72 +311,11 @@ def test_triangularize_rejections():
     h1, h2 = X + 1, X + 2
     m = euler_cf_matrix(h1, h2)
     with pytest.raises(InvalidInput):
-        triangularize(m, euler_right_eigen(h1, h2))
+        triangularize(m, EigenSeq(ONE, h2, h1))
     with pytest.raises(ZeroF):
-        triangularize(m, EigenSeq(ONE, Poly.zero(), h2, EigenSeq.LEFT))
+        triangularize(m, EigenSeq(ONE, Poly.zero(), h2))
     with pytest.raises(InvalidInput):
-        triangularize(m, EigenSeq(ONE, h2, h2 + 1, EigenSeq.LEFT))
-
-
-# ---------------------------------------------------------------------------
-# triangular products
-# ---------------------------------------------------------------------------
-
-
-def test_unipotent_product():
-    terms = [Mat2(1, 4, 0, 1)] * 10
-    assert triangular_product(terms, 8) == Mat2(1, 28, 0, 1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.fractions(min_value=-4, max_value=4),
-            st.fractions(min_value=-4, max_value=4),
-            st.fractions(min_value=-4, max_value=4),
-        ),
-        min_size=0,
-        max_size=12,
-    )
-)
-def test_triangular_product_matches_literal(triples):
-    terms = [Mat2(al, be, 0, ga) for al, be, ga in triples]
-    n = len(terms) + 1
-    fast = triangular_product(terms, n)
-    literal = reduce(lambda x, y: x * y, terms, Mat2(1, 0, 0, 1))
-    assert fast == literal
-    if all(t.d != 0 for t in terms):
-        assert triangular_product_at_zero(terms, n) == fast.b / fast.d
-
-
-def test_triangular_product_rejections():
-    with pytest.raises(InvalidInput):
-        triangular_product([], 0)
-    with pytest.raises(InvalidInput):
-        triangular_product([Mat2(1, 1, 1, 1)], 2)
-    with pytest.raises(InvalidInput):
-        triangular_product([Mat2(1, 1, 0, 1)], 3)  # sequence too short
-    with pytest.raises(ZeroDiagonal):
-        triangular_product_at_zero([Mat2(1, 1, 0, 0)], 2)
-    # the plain product tolerates a zero diagonal entry
-    assert triangular_product([Mat2(2, 1, 0, 0)], 2) == Mat2(2, 1, 0, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    entries=st.lists(st.tuples(small_fractions, small_fractions, small_fractions), max_size=40),
-    lower=st.none() | st.integers(0, 39),
-    extra=st.integers(-2, 2),
-)
-def test_triangular_product_matches_one_pass(entries, lower, extra):
-    """The product tree gives the one-pass product, or the same error for a
-    lower-left entry, a short sequence or n < 1."""
-    terms = [Mat2(al, be, 0, ga) for al, be, ga in entries]
-    if lower is not None and lower < len(terms):
-        terms[lower] = Mat2(1, 1, 1, 1)
-    n = len(terms) + 1 + extra
-    assert outcome(triangular_product, terms, n) == outcome(reference_triangular_product, terms, n)
+        triangularize(m, EigenSeq(ONE, h2, h2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +377,3 @@ def test_every_route_gives_inf_at_a_pole():
     assert euler_partial_value(t, 1) is INF
     assert cf_value(CFSpec(b=t.b, a=t.a), 1) is INF
 
-
-def test_triangular_product_of_a_callable():
-    def term(i):
-        return Mat2(i, 1, 0, i + 1)
-
-    assert triangular_product(term, 4) == Mat2(6, 18, 0, 24) == reference_triangular_product(term, 4)

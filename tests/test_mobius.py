@@ -18,7 +18,6 @@ from polycf import (
     Poly,
     QuadSurd,
     SingularMatrix,
-    cf_step_matrix,
     cf_value,
     constant_cf_limit,
     convergents,
@@ -110,7 +109,7 @@ def test_step_matrix_composition():
     states = list(convergents_from_terms(zip(bs, as_)))
     assert states[0].as_matrix() == prod
     for k, (b, a) in enumerate(zip(bs, as_)):
-        prod = prod * cf_step_matrix(b, a)
+        prod = prod * Mat2(0, b, 1, a)
         assert states[k + 1].as_matrix() == prod
 
 
