@@ -34,7 +34,7 @@ from .matforms import (
     triangularize,
     PolyMat2,
 )
-from .mobius import CFSpec, constant_cf_limit, CFLimit, _eval_pair, _fraction
+from .mobius import CFSpec, cf_value, constant_cf_limit, CFLimit, _eval_pair
 
 
 def _poly_arg(text: str) -> Poly:
@@ -160,12 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> list[str]:
-    num, den = _eval_pair(CFSpec(b=args.b, a=args.a, head=args.head), args.depth)
+    cf = CFSpec(b=args.b, a=args.a, head=args.head)
+    if args.reduced:
+        # the reduced pair is unique, so cf_value's stripped product gives it
+        v = cf_value(cf, args.depth)
+        num, den = (1, 0) if is_inf(v) else (v.numerator, v.denominator)
+    else:
+        num, den = _eval_pair(cf, args.depth)
     if den == 0:
         return ["inf"]
-    if args.reduced:
-        v = _fraction(num, den)
-        num, den = v.numerator, v.denominator
     lines = [f"{num}/{den}"]
     if args.digits:
         lines.append(decimal_pair(num, den, args.digits))

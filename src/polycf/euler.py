@@ -185,7 +185,8 @@ def euler_partial_value(t: EulerTriple, n: int):
 
     Computed on integers: the product tree of the summand ratios (see the
     module docstring) gives S as one integer pair, its tail keeping only
-    that column, and the value is reduced once by mobius._fraction.
+    that column and its content stripped as it goes (S is read as a ratio),
+    and the value is reduced once by mobius._fraction.
 
     Raises InvalidInput when n < 0, and PoleInFormula(k) when a needed f(k)
     (0 <= k <= n+1) or h2(k) (1 <= k <= n+1) vanishes.  Returns INF when
@@ -216,7 +217,7 @@ def euler_partial_value(t: EulerTriple, n: int):
 
     # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d; the tail (0, 1; 0, 1)
     # gives the column (a + b, d) alone
-    _, s, _, d = _tree_product(ratios(), _ratio_step, (0, 1, 0, 1))
+    _, s, _, d = _tree_product(ratios(), _ratio_step, (0, 1, 0, 1), strip=True)
     if s == 0:
         return INF
     return _fraction(fv[1] * h2v[1] * (d - s), fv[0] * D2 * s)

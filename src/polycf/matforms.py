@@ -258,8 +258,9 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     The product of T(i) = (h1(i), -h1(i)/h2(i+1); 0, h2(i)) applied to 0 is
     z = corner/prod_g, which U(1)^{-1} maps to the value.  The steps are
     multiplied on integers, scaled as in the module docstring, with the tail
-    (0, 0; 0, 1), so the tree computes only the column (corner, prod_g); the
-    value is reduced once by mobius._fraction.  Must agree
+    (0, 0; 0, 1), so the tree computes only the column (corner, prod_g),
+    stripped of its content as it goes (the value is homogeneous in the
+    column); the value is reduced once by mobius._fraction.  Must agree
     with the summation formula for the same triple; n = 1 gives 0.  Raises
     PoleInFormula when h2 vanishes on 1..n.
 
@@ -282,7 +283,7 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
             h1i = horner(H1, i) * D2
             yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
 
-    _, corner, _, prod_g = _tree_product(steps(), _triangular_step, _LAST_COLUMN)
+    _, corner, _, prod_g = _tree_product(steps(), _triangular_step, _LAST_COLUMN, strip=True)
     # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
     # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
     H = h2v[1]

@@ -35,16 +35,27 @@ is the one 2x2 product, used by the tree's merges, ``_Matrix2`` (the shell
 of ``Mat2`` and ``matforms.PolyMat2``) and ``matforms.cf_form_states``.
 The callers of the tree, their leaf steps and their tails:
 
-* ``_tree_state``, from the cleared companion steps (0, b; 1, a) by
-  ``_companion_step``, the stream's own step: behind the CLI's ``eval``
-  with the tail (0, 0; 0, 1), which keeps the column (P', Q'), and behind
-  ``product_apply`` (so ``cf_value``) with the column (L u, v) of its
-  argument z = u/v ((L, 0) for INF, (0, 1) for 0);
+* ``_companion_product``, from the cleared companion steps (0, b; 1, a) by
+  ``_companion_step``, the stream's own step: behind ``_tree_state`` and so
+  the CLI's plain ``eval``, with the tail (0, 0; 0, 1), which keeps the
+  column (P', Q'), and behind ``product_apply`` (so ``cf_value`` and
+  ``eval --reduced``) with the column (L u, v) of its argument z = u/v
+  ((L, 0) for INF, (0, 1) for 0);
 * ``euler.euler_partial_value`` from the summand ratios of its closed form,
   with the tail (0, 1; 0, 1), which gives a + b and d of (a, b; 0, d);
 * ``matforms.rederive_euler_sum`` from scaled integer triangular steps by
   ``matforms._triangular_step``, with the tail (0, 0; 0, 1), which keeps
   its corner and prod_g.
+
+Of these, the value readers ``product_apply``, ``euler_partial_value``
+(which reads (d - s)/s) and ``rederive_euler_sum`` (homogeneous in corner
+and prod_g) read only a ratio of the column, which a positive scalar leaves
+unchanged, so they ask the tree to strip: to divide its blocks by the
+common content of their entries as it goes (see _tree_product).  The raw
+readers never see a stripped product: ``_tree_state``'s ConvergentState
+keeps the stream's state and its determinant identity, ``_eval_pair``
+prints the unreduced pair of plain ``eval`` byte for byte, and the stream
+and ``matforms.cf_form_states`` multiply without the tree.
 
 ``_fraction(p, q)`` is the one reducer of deep integer pairs, behind
 ``ConvergentState.value``, ``cf_value``, ``product_apply``, the
@@ -53,8 +64,8 @@ The callers of the tree, their leaf steps and their tails:
 and two exact divisions by it (``_exact_div``, a 2-adic Newton inverse
 above a crossover in the operand sizes), and no second gcd in ``Fraction``.
 
-After k steps the cleared product (P'', P'; Q'', Q') of ``_tree_state`` is
-the stream's state k + 1 up to powers of L:
+After k steps the raw cleared product (P'', P'; Q'', Q') of ``_tree_state``
+is the stream's state k + 1 up to powers of L:
 
     p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k.
 
@@ -62,8 +73,8 @@ Every deep result is read straight off these integers, and only this module
 knows their powers of L: ``product_apply`` acts by (L P'', P'; L^2 Q'', L Q'),
 the state times L^(k+1), so z = u/v goes to x/(L y) for the column (x, y)
 of the cleared product times (L u, v), which at z = 0 is the convergent
-P'/(L Q') that ``cf_value`` reads, and ``_eval_pair`` gives the CLI's
-integer pair.
+P'/(L Q') that ``cf_value`` reads (on the stripped product: the ratio
+x/(L y) is the same), and ``_eval_pair`` gives the CLI's integer pair.
 """
 
 from __future__ import annotations
@@ -311,9 +322,30 @@ def _mat_mul(m: tuple, n: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY) -> tuple:
+# The strip rule of _tree_product: the bits of d above which a merged block
+# is divided by its content, and the gcd bits below which a branch stops
+_STRIP_BITS = 2000
+_STRIP_STOP_BITS = 64
+
+
+def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
+    """(left right, strip'): with `strip`, int entries and more than
+    _STRIP_BITS bits in the product's d entry, the product divided by the
+    gcd of its entries, and strip' false once that gcd has fewer than
+    _STRIP_STOP_BITS bits."""
+    m = _mat_mul(left, right)
+    if strip and all(type(x) is int for x in m) and m[3].bit_length() > _STRIP_BITS:
+        g = math.gcd(*m)
+        strip = g.bit_length() >= _STRIP_STOP_BITS
+        if g > 1:
+            m = tuple(_exact_div(x, g) for x in m)
+    return m, strip
+
+
+def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY, strip: bool = False) -> tuple:
     """The product, left to right, of the step matrices of `steps`, times
-    `tail`, as a balanced tree of 2x2 blocks (a, b, c, d).
+    `tail`, as a balanced tree of 2x2 blocks (a, b, c, d); with `strip`, that
+    product divided by a positive integer.
 
     Each leaf is _LEAF consecutive steps multiplied out from the identity by
     leaf = step(leaf, s).  A full leaf is held back until another step
@@ -323,27 +355,54 @@ def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY) -> tuple:
     with a tail whose first column is zero every merge of the fold, the top
     merge among them, costs 4 big products in place of 8 (a product with a
     literal 0 returns at once).  No steps give the tail itself.
+
+    `strip` is for readers of a ratio of entries, which a positive scalar
+    leaves unchanged.  Deep products of polynomial steps carry a large
+    common content (Apery's q_n = (n!)^3 B_n: 546k of the 700k bits of P'
+    at depth 16384), which every merge above would multiply again and the
+    reader's gcd would then remove.  So each merge whose d entry passes
+    _STRIP_BITS = 2000 bits divides the block by the gcd of its four entries
+    (Haible & Papanikolaou's binary splitting with factored-out content).
+    A gcd under _STRIP_STOP_BITS = 64 bits ends the stripping of every block
+    built on that one, so a CF whose blocks carry little content (K n/n,
+    whose gcds are 1) pays one small gcd per branch.  The top merge is never
+    stripped: the reader reduces the result by its own gcd.
+
+    Measured on cf_value at depth 16384 (CPU time, median of 7 interleaved
+    runs, CPython 3.11 on one core of a shared 2.1 GHz Xeon): Apery and
+    zeta(2) took 0.48-0.52 of the raw product's time with a threshold of
+    1000 to 4000 bits, 0.52-0.57 at 500 or 8000; K n/n took 0.95-1.0, and
+    1.2 with no stop; K n^2/n, whose every block has a gcd of about 4% of
+    its bits, took 0.8-0.9 whatever the stop (16 to 256 bits).
     """
-    stack = []  # (leaves, product), counts strictly decreasing up the stack
+    stack = []  # (leaves, product, stripping), counts strictly decreasing up the stack
     leaf, count = _IDENTITY, 0
     for s in steps:
         if count == _LEAF:
-            size, m = 1, leaf
+            size, m, live = 1, leaf, strip
             while stack and stack[-1][0] == size:
-                below, left = stack.pop()
-                size, m = size + below, _mat_mul(left, m)
-            stack.append((size, m))
+                below, left, left_live = stack.pop()
+                size, (m, live) = size + below, _merge(left, m, live and left_live)
+            stack.append((size, m, live))
             leaf, count = _IDENTITY, 0
         leaf, count = step(leaf, s), count + 1
-    m = _mat_mul(leaf, tail)
+    m, live = _mat_mul(leaf, tail), strip
     while stack:
-        m = _mat_mul(stack.pop()[1], m)
+        _, left, left_live = stack.pop()
+        m, live = _merge(left, m, live and left_live and bool(stack))
     return m
 
 
 def _tree_state(cf: CFSpec, depth: int, tail: tuple = _IDENTITY) -> ConvergentState:
     """State `depth` + 1 of the stream of cf, as a balanced product tree,
-    with its matrix multiplied by `tail` (see _tree_product).
+    with its matrix multiplied by `tail` (see _tree_product)."""
+    m, steps, truncated = _companion_product(cf, depth, tail, strip=False)
+    return ConvergentState(steps + 1 + truncated, *m, truncated=truncated)
+
+
+def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
+    """(m, steps, truncated): the _tree_product of the companion steps of cf
+    times `tail`, stripped with `strip`.
 
     Exactly `depth` terms are read, fewer when a zero b truncates the CF.
     """
@@ -361,12 +420,12 @@ def _tree_state(cf: CFSpec, depth: int, tail: tuple = _IDENTITY) -> ConvergentSt
             steps += 1
             yield bi, ai
 
-    m = _tree_product(terms(), _companion_step, tail)
+    m = _tree_product(terms(), _companion_step, tail, strip)
     if steps < depth and not truncated:
         raise InvalidInput(
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"
         )
-    return ConvergentState(steps + 1 + truncated, *m, truncated=truncated)
+    return m, steps, truncated
 
 
 # Exact division beats // once the divisor has this many bits and at least
@@ -471,10 +530,12 @@ def product_apply(cf: CFSpec, depth: int, z):
     # x/(L y), (x, y) the cleared product times the column (L u, v); INF is
     # u/v = 1/0, and y = 0 gives INF.  Unlike Mat2.apply nothing checks the
     # determinant, which is never 0: each step's is -b(i) L^2, and a zero b
-    # ends the product before its step.
+    # ends the product before its step.  Only the ratio x/y is read, so the
+    # product is stripped.
     L, cleared = _cleared(cf)
     u, v = (1, 0) if is_inf(z) else (rat(z).numerator, rat(z).denominator)
-    return _scaled_value(_tree_state(cleared, depth, (0, L * u, 0, v)), L)
+    (_, x, _, y), _, _ = _companion_product(cleared, depth, (0, L * u, 0, v), strip=True)
+    return INF if y == 0 else _fraction(x, L * y)
 
 
 def _eval_pair(cf: CFSpec, depth: int) -> tuple:

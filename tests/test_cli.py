@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from polycf import CFSpec, Poly, cf_value, parse_poly
 from polycf.cli import _normalize_argv, decimal_pair, decimal_string, main
 
-from _reference import decimal_prefix, e_ref
+from _reference import decimal_prefix, e_ref, reference_state_at
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -483,6 +483,38 @@ def test_eval_prints_past_the_int_string_limit():
         sys.set_int_max_str_digits(limit)
     cf = CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5"))
     assert value == cf_value(cf, 2000)
+
+
+_APERY_ARGS = ("--a", "34n^3+51n^2+27n+5", "--b", "-n^6", "--depth", "2000")
+_RATIONAL_ARGS = ("--a", "3/2n^2+1/5", "--b=-1/7n^4+n", "--depth", "2000", "--head", "-5/3")
+
+
+@pytest.mark.parametrize(
+    "args, stream, digits",
+    [
+        (_APERY_ARGS, ("-n^6", "34n^3+51n^2+27n+5", 1, 0), None),
+        (_APERY_ARGS, ("-n^6", "34n^3+51n^2+27n+5", 1, 0), 60),
+        # a and b cleared by L = 70: a' = 70 a, b' = 70^2 b; the K part is p'/(70 q')
+        (_RATIONAL_ARGS, ("-700n^4+4900n", "105n^2+14", 70, Fraction(-5, 3)), None),
+    ],
+    ids=["apery", "apery-digits", "rational-head"],
+)
+def test_eval_reduced_at_depth_prints_the_reduced_stream_value(args, stream, digits):
+    b, a, scale, head = stream
+    s = reference_state_at(CFSpec(b=parse_poly(b), a=parse_poly(a)), 2000)
+    v = head + Fraction(s.p, scale * s.q)
+    r = run_cli("eval", *args, "--reduced", *(["--digits", str(digits)] if digits else []))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = f"{v.numerator}/{v.denominator}\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    if digits:
+        want += decimal_prefix(v, digits) + "\n"
+    assert (r.returncode, r.stderr, r.stdout) == (0, "", want)
 
 
 def test_limit_prints_past_the_int_string_limit():

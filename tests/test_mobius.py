@@ -1,5 +1,6 @@
 """Convergent engine and Mobius machinery."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -22,9 +23,12 @@ from polycf import (
     constant_cf_limit,
     convergents,
     convergents_from_terms,
+    euler_partial_value,
     is_inf,
     parse_poly,
     product_apply,
+    rederive_euler_sum,
+    trivial_triple,
     INF,
 )
 from polycf import mobius
@@ -42,8 +46,15 @@ from polycf.mobius import (
     _tree_state,
 )
 
-from _reference import reference_cf_value, reference_eval_pair, reference_state_at
-from _strategies import poly_cfs
+from _reference import (
+    outcome,
+    reference_cf_value,
+    reference_euler_partial_value,
+    reference_eval_pair,
+    reference_rederive_euler_sum,
+    reference_state_at,
+)
+from _strategies import euler_triples, poly_cfs
 
 
 # --- worked oracle: 4/11 = 1/(2 + 1/(1 + 1/3)) ---
@@ -382,6 +393,105 @@ def test_top_merge_multiplies_a_zero_first_column(monkeypatch, leaves):
     assert (top_right[0], top_right[2]) == (0, 0)
     assert bits(top_left) > bits(got) // 3
     assert got == _mat_mul(_tree_product(steps, _companion_step), _LAST_COLUMN)
+
+
+# --- content stripping in the tree ---
+
+APERY = CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5"))
+
+
+@contextlib.contextmanager
+def _forced_strip(stop_bits):
+    """Strip every merge whose d entry passes 4 bits, so that small draws
+    strip too; a branch stops at a gcd under stop_bits bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mobius, "_STRIP_BITS", 4)
+        mp.setattr(mobius, "_STRIP_STOP_BITS", stop_bits)
+        yield
+
+
+@contextlib.contextmanager
+def _tree_gcds(monkeypatch):
+    """Collect the gcds that the tree takes: math.gcd on four entries."""
+    calls = []
+    gcd = math.gcd
+
+    def recording(*args):
+        if len(args) == 4:
+            calls.append(gcd(*args))
+            return calls[-1]
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording)
+    yield calls
+    monkeypatch.setattr(math, "gcd", gcd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_cfs(), st.integers(0, 300), st.sampled_from([0, 8, 64]))
+def test_stripped_cf_value_and_product_apply_match_the_stream(cf, depth, stop_bits):
+    want = reference_state_at(cf, depth)
+    with _forced_strip(stop_bits):
+        assert cf_value(cf, depth) == reference_cf_value(cf, depth)
+        for z in (Fraction(0), INF, Fraction(1, 3)):
+            assert _outcome(product_apply, cf, depth, z) == _outcome(lambda: want.as_matrix().apply(z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(euler_triples(), st.integers(0, 300), st.sampled_from([0, 8, 64]))
+def test_stripped_euler_routes_match_their_fraction_passes(t, n, stop_bits):
+    with _forced_strip(stop_bits):
+        assert outcome(euler_partial_value, t, n) == outcome(reference_euler_partial_value, t, n)
+        got = outcome(rederive_euler_sum, t.h1, t.h2, n + 1)
+        assert got == outcome(reference_rederive_euler_sum, t.h1, t.h2, n + 1)
+
+
+def test_every_value_reader_strips_at_the_real_threshold(monkeypatch):
+    # zeta(2)'s triple h1 = h2 = n^2 at depth 2048: each reader strips, and
+    # all three agree with the stream walk
+    n2 = parse_poly("n^2")
+    t = trivial_triple(n2, n2)
+    want = reference_cf_value(CFSpec(b=t.b, a=t.a), 2048)
+    for read in (
+        lambda: cf_value(CFSpec(b=t.b, a=t.a), 2048),
+        lambda: euler_partial_value(t, 2048),
+        lambda: rederive_euler_sum(n2, n2, 2049),
+    ):
+        with _tree_gcds(monkeypatch) as gcds:
+            assert read() == want
+        assert any(g.bit_length() >= mobius._STRIP_STOP_BITS for g in gcds)
+
+
+def test_strip_removes_most_of_aperys_content():
+    steps = list(itertools.islice(APERY.terms(), 4096))
+    raw = _tree_product(steps, _companion_step, _LAST_COLUMN)
+    stripped = _tree_product(steps, _companion_step, _LAST_COLUMN, strip=True)
+    assert raw[1] * stripped[3] == raw[3] * stripped[1]
+    assert raw[3] % stripped[3] == 0 and raw[3] // stripped[3] > 0
+    assert max(abs(x).bit_length() for x in stripped) < max(abs(x).bit_length() for x in raw) // 2
+
+
+def test_strip_stops_on_a_branch_with_little_content(monkeypatch):
+    # K n/n: the first gcd of each branch is small (1), so each branch takes
+    # one; at depth 4096 that is one per block of about 256 steps
+    cf = CFSpec(b=Poly.x(), a=Poly.x())
+    with _tree_gcds(monkeypatch) as gcds:
+        v = cf_value(cf, 4096)
+    assert 0 < len(gcds) <= 4096 // 256
+    assert all(g.bit_length() < mobius._STRIP_STOP_BITS for g in gcds)
+    with _tree_gcds(monkeypatch) as unstopped:
+        monkeypatch.setattr(mobius, "_STRIP_STOP_BITS", 0)
+        assert cf_value(cf, 4096) == v
+    assert len(unstopped) > len(gcds)
+
+
+def test_raw_readers_keep_the_unstripped_product():
+    depth = 2048
+    s = _tree_state(APERY, depth)
+    assert s.p_prev * s.q - s.p * s.q_prev == math.factorial(depth) ** 6
+    want = reference_state_at(APERY, depth)
+    assert _eval_pair(APERY, depth) == (want.p, want.q)
+    assert (s.p, s.q) == (want.p, want.q)
 
 
 def _exact_div_cases():
