@@ -15,7 +15,6 @@ from .algebra import (
     Infinity,
     Poly,
     QuadSurd,
-    Rat,
     RatFunc,
     factor_integer_rooted,
     is_inf,
@@ -33,7 +32,6 @@ from .errors import (
     PolycfError,
     PolyParseError,
     PreconditionViolated,
-    SingularMatrix,
     ZeroCEntry,
     ZeroF,
     ZeroScaler,
@@ -96,12 +94,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     # algebra
-    "INF", "Infinity", "Poly", "QuadSurd", "Rat", "RatFunc", "factor_integer_rooted",
+    "INF", "Infinity", "Poly", "QuadSurd", "RatFunc", "factor_integer_rooted",
     "is_inf", "parse_factored", "parse_poly", "poly_gcd", "rational_roots",
     # errors
     "DegenerateTerm", "InvalidInput", "NonTelescoping", "NotDivisible",
     "PoleInFormula", "PolycfError", "PolyParseError", "PreconditionViolated",
-    "SingularMatrix", "ZeroCEntry", "ZeroF", "ZeroScaler",
+    "ZeroCEntry", "ZeroF", "ZeroScaler",
     # mobius
     "CFLimit", "CFSpec", "ConvergentState", "Mat2", "cf_value",
     "constant_cf_limit", "convergents", "convergents_from_terms", "product_apply",

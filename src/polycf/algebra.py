@@ -4,7 +4,6 @@ Everything in this library runs on integers and `fractions.Fraction`; there
 is no floating point here or anywhere downstream.  This module provides the
 shared ground types:
 
-* ``Rat``       alias for :class:`fractions.Fraction`
 * ``INF``       the extra point for the extended rationals (Mobius arithmetic)
 * ``QuadSurd``  exact quadratic surds u + v*sqrt(d)
 * ``Poly``      dense univariate polynomials over Q, stored as int
@@ -38,8 +37,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidInput, PolyParseError
-
-Rat = Fraction
 
 
 def rat(x) -> Fraction:
@@ -280,15 +277,6 @@ class QuadSurd(_Exact):
         self.u = u
         self.v = v
         self.d = d
-
-    @property
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.u
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, no approximation involved."""
@@ -653,9 +641,6 @@ class Poly(_Exact):
             out = [c * t**j for j, c in enumerate(out)]
         return Poly._make(out, self.denominator * t**d)
 
-    def derivative(self) -> "Poly":
-        return Poly._make([i * c for i, c in enumerate(self.numerators)][1:], self.denominator)
-
     def monic(self) -> "Poly":
         return self / self.lead
 
@@ -677,7 +662,7 @@ class Poly(_Exact):
     def __str__(self):
         return self.to_text()
 
-    def to_text(self, var: str = "n") -> str:
+    def to_text(self) -> str:
         """Canonical text form, descending powers; parses back exactly."""
         if not self.numerators:
             return "0"
@@ -690,9 +675,9 @@ class Poly(_Exact):
             if k == 0:
                 body = str(mag)
             elif mag == 1:
-                body = var if k == 1 else f"{var}^{k}"
+                body = "n" if k == 1 else f"n^{k}"
             else:
-                body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+                body = f"{mag}*n" if k == 1 else f"{mag}*n^{k}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:

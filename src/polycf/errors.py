@@ -21,10 +21,6 @@ class PolyParseError(PolycfError):
         super().__init__(f"unexpected token {token!r} at position {pos}")
 
 
-class SingularMatrix(PolycfError):
-    """Mobius action of a matrix with zero determinant."""
-
-
 class InvalidInput(PolycfError):
     """Input outside the documented domain of an operation."""
 

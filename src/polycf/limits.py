@@ -156,16 +156,6 @@ class ZetaCombo:
         if self.status == self.DIVERGENT and self.zeta:
             raise ValueError("a divergent combo cannot carry zeta coefficients")
 
-    def to_dict(self) -> dict:
-        out = {
-            "const": str(self.constant),
-            "zeta": {str(k): str(self.zeta[k]) for k in sorted(self.zeta)},
-            "status": self.status,
-        }
-        if self.status == self.DIVERGENT and self.residue is not None:
-            out["residue"] = str(self.residue)
-        return out
-
     def evaluate(self, zeta_values: dict) -> Fraction:
         """Exact evaluation given reference values for each zeta index."""
         if self.status != self.EXACT:
@@ -381,9 +371,6 @@ class BetaForm:
 
     RATIONAL = "rational"
     INTEGRAL = "integral"
-
-    def beta_params(self) -> tuple[Fraction, Fraction]:
-        return 1 + self.t_exponent, 1 + self.omt_exponent
 
     def __str__(self):
         if self.kind == self.RATIONAL:

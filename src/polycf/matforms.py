@@ -85,29 +85,9 @@ class PolyMat2(_Matrix2):
         return f"[{self.a}, {self.b}; {self.c}, {self.d}]"
 
 
-def coboundary_check(m1: PolyMat2, m2: PolyMat2, u: PolyMat2, up_to_scalar: bool = False) -> bool:
-    """Does u conjugate the family m2 into m1, i.e. m1(i) u(i+1) == u(i) m2(i)?
-
-    With up_to_scalar=True the two sides may differ by one common
-    rational-function factor (the same for all four entries).
-    """
-    left = m1 * u.shift(1)
-    right = u * m2
-    if not up_to_scalar:
-        return left == right
-    ratio = None
-    for le, re in zip(left.entries, right.entries):
-        lz, rz = le == 0, re == 0
-        if lz != rz:
-            return False
-        if lz:
-            continue
-        r = _rf(le) / re
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+def coboundary_check(m1: PolyMat2, m2: PolyMat2, u: PolyMat2) -> bool:
+    """Does u conjugate the family m2 into m1, i.e. m1(i) u(i+1) == u(i) m2(i)?"""
+    return m1 * u.shift(1) == u * m2
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ kept unreduced so that the determinant identity
 
     p_{n-1} q_n - p_n q_{n-1} = prod_{i=1}^{n-1} (-b(i))
 
-holds on the raw integers; ``ConvergentState.reduced()`` gives lowest terms
-on demand.
+holds on the raw integers.
 
 Deep states are computed on integers.  A Poly stores int numerators over
 one denominator (see polycf.algebra), and that form is the only coefficient
@@ -36,11 +35,11 @@ of ``Mat2`` and ``matforms.PolyMat2``) and ``matforms.cf_form_states``.
 The callers of the tree, their leaf steps and their tails:
 
 * ``_companion_product``, from the cleared companion steps (0, b; 1, a) by
-  ``_companion_step``, the stream's own step: behind ``_tree_state`` and so
-  the CLI's plain ``eval``, with the tail (0, 0; 0, 1), which keeps the
-  column (P', Q'), and behind ``product_apply`` (so ``cf_value`` and
-  ``eval --reduced``) with the column (L u, v) of its argument z = u/v
-  ((L, 0) for INF, (0, 1) for 0);
+  ``_companion_step``, the stream's own step: behind the CLI's plain
+  ``eval``, with the tail (0, 0; 0, 1), which keeps the column (P', Q'),
+  and behind ``product_apply`` (so ``cf_value`` and ``eval --reduced``)
+  with the column (L u, v) of its argument z = u/v ((L, 0) for INF, (0, 1)
+  for 0);
 * ``euler.euler_partial_value`` from the summand ratios of its closed form,
   with the tail (0, 1; 0, 1), which gives a + b and d of (a, b; 0, d);
 * ``matforms.rederive_euler_sum`` from scaled integer triangular steps by
@@ -52,10 +51,9 @@ Of these, the value readers ``product_apply``, ``euler_partial_value``
 and prod_g) read only a ratio of the column, which a positive scalar leaves
 unchanged, so they ask the tree to strip: to divide its blocks by the
 common content of their entries as it goes (see _tree_product).  The raw
-readers never see a stripped product: ``_tree_state``'s ConvergentState
-keeps the stream's state and its determinant identity, ``_eval_pair``
-prints the unreduced pair of plain ``eval`` byte for byte, and the stream
-and ``matforms.cf_form_states`` multiply without the tree.
+readers never see a stripped product: ``_eval_pair`` prints the unreduced
+pair of plain ``eval`` byte for byte, and the stream and
+``matforms.cf_form_states`` multiply without the tree.
 
 ``_fraction(p, q)`` is the one reducer of deep integer pairs, behind
 ``ConvergentState.value``, ``cf_value``, ``product_apply``, the
@@ -64,8 +62,8 @@ and ``matforms.cf_form_states`` multiply without the tree.
 and two exact divisions by it (``_exact_div``, a 2-adic Newton inverse
 above a crossover in the operand sizes), and no second gcd in ``Fraction``.
 
-After k steps the raw cleared product (P'', P'; Q'', Q') of ``_tree_state``
-is the stream's state k + 1 up to powers of L:
+After k steps the raw cleared product (P'', P'; Q'', Q') of
+``_companion_product`` is the stream's state k + 1 up to powers of L:
 
     p_prev = P''/L^k,  p = P'/L^(k+1),  q_prev = Q''/L^(k-1),  q = Q'/L^k.
 
@@ -87,7 +85,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat
-from .errors import InvalidInput, SingularMatrix
+from .errors import InvalidInput
 
 
 class _Matrix2:
@@ -122,13 +120,8 @@ class _Matrix2:
 class Mat2(_Matrix2):
     """2x2 matrix with exact rational entries, row major (a, b; c, d).
 
-    >>> m = Mat2(1, 2, 3, 4)
-    >>> m.det
+    >>> Mat2(1, 2, 3, 4).det
     Fraction(-2, 1)
-    >>> m.apply(Fraction(1))      # (1+2)/(3+4)
-    Fraction(3, 7)
-    >>> m.apply(INF)
-    Fraction(1, 3)
     """
 
     __slots__ = ()
@@ -142,31 +135,6 @@ class Mat2(_Matrix2):
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def inverse(self) -> "Mat2":
-        det = self.det
-        if det == 0:
-            raise SingularMatrix("matrix is singular")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-    def apply(self, z):
-        """Mobius action z -> (a z + b) / (c z + d) on the projective line.
-
-        Scalar matrices act as the identity.  The full case table:
-        finite z with c z + d = 0 maps to INF; INF maps to a/c, or to INF
-        when c = 0 (then a != 0 because the matrix is nonsingular).
-        """
-        if self.det == 0:
-            raise SingularMatrix("Mobius action of a singular matrix")
-        if is_inf(z):
-            if self.c == 0:
-                return INF
-            return self.a / self.c
-        z = rat(z)
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return (self.a * z + self.b) / den
-
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -176,7 +144,7 @@ class Mat2(_Matrix2):
 # ---------------------------------------------------------------------------
 
 # A coefficient sequence is a Poly (evaluated at the index), an explicit
-# sequence (index 1 maps to position 0 after the start offset), or a callable.
+# sequence (index 1 maps to position 0), or a callable.
 # _term is the one reader of such sequences, here and in polycf.euler.
 
 
@@ -196,7 +164,7 @@ def _term(seq, pos: int, i: int):
 
 @dataclass(frozen=True)
 class CFSpec:
-    """A continued fraction head + K_{i>=start} b(i)/a(i).
+    """A continued fraction head + K_{i>=1} b(i)/a(i).
 
     ``a`` and ``b`` are Polys, explicit (finite) sequences, or callables in
     the index.  ``head`` is added in front of the K part when evaluating.
@@ -204,19 +172,18 @@ class CFSpec:
 
     b: object
     a: object
-    start: int = 1
     head: Fraction = Fraction(0)
 
     def terms(self) -> Iterator[tuple]:
-        """(b(i), a(i)) for i = start, start + 1, ...: ints for integral
-        terms (by horner for an integral Poly), Fractions otherwise."""
+        """(b(i), a(i)) for i = 1, 2, ...: ints for integral terms (by
+        horner for an integral Poly), Fractions otherwise."""
         b_int, a_int = (
             s.numerators[::-1] if isinstance(s, Poly) and s.denominator == 1 else None
             for s in (self.b, self.a)
         )
         pos = 0
         while True:
-            i = self.start + pos
+            i = pos + 1
             bi = _term(self.b, pos, i) if b_int is None else horner(b_int, i)
             ai = _term(self.a, pos, i) if a_int is None else horner(a_int, i)
             if bi is None or ai is None:
@@ -259,13 +226,6 @@ class ConvergentState:
             return INF
         return _fraction(self.p, self.q)
 
-    def reduced(self) -> tuple:
-        """(p, q) in lowest terms with positive q; (1, 0) for INF."""
-        if self.q == 0:
-            return (1, 0)
-        v = self.value
-        return (v.numerator, v.denominator)
-
     def as_matrix(self) -> Mat2:
         return Mat2(self.p_prev, self.p, self.q_prev, self.q)
 
@@ -304,7 +264,7 @@ def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
     if not (isinstance(cf.a, Poly) and isinstance(cf.b, Poly)):
         return 1, cf
     L = math.lcm(cf.a.denominator, cf.b.denominator)
-    return L, CFSpec(b=cf.b * (L * L), a=cf.a * L, start=cf.start)
+    return L, CFSpec(b=cf.b * (L * L), a=cf.a * L)
 
 
 # Steps per leaf of a product tree; a leaf is multiplied by its caller's
@@ -391,13 +351,6 @@ def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY, strip: bool = 
         _, left, left_live = stack.pop()
         m, live = _merge(left, m, live and left_live and bool(stack))
     return m
-
-
-def _tree_state(cf: CFSpec, depth: int, tail: tuple = _IDENTITY) -> ConvergentState:
-    """State `depth` + 1 of the stream of cf, as a balanced product tree,
-    with its matrix multiplied by `tail` (see _tree_product)."""
-    m, steps, truncated = _companion_product(cf, depth, tail, strip=False)
-    return ConvergentState(steps + 1 + truncated, *m, truncated=truncated)
 
 
 def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
@@ -503,7 +456,7 @@ def _scaled_value(state: ConvergentState, L: int):
 
 
 def cf_value(cf: CFSpec, depth: int):
-    """Exact value head + K_{i=start}^{start+depth-1} b(i)/a(i).
+    """Exact value head + K_{i=1}^{depth} b(i)/a(i).
 
     Consumes exactly `depth` terms (fewer if a zero b truncates the CF).
     Returns a Fraction, or INF when the finite CF is a pole.
@@ -528,10 +481,10 @@ def product_apply(cf: CFSpec, depth: int, z):
     """
     # The state times L^(k+1), (L P'', P'; L^2 Q'', L Q'), sends z = u/v to
     # x/(L y), (x, y) the cleared product times the column (L u, v); INF is
-    # u/v = 1/0, and y = 0 gives INF.  Unlike Mat2.apply nothing checks the
-    # determinant, which is never 0: each step's is -b(i) L^2, and a zero b
-    # ends the product before its step.  Only the ratio x/y is read, so the
-    # product is stripped.
+    # u/v = 1/0, and y = 0 gives INF.  Nothing checks the determinant, which
+    # is never 0: each step's is -b(i) L^2, and a zero b ends the product
+    # before its step.  Only the ratio x/y is read, so the product is
+    # stripped.
     L, cleared = _cleared(cf)
     u, v = (1, 0) if is_inf(z) else (rat(z).numerator, rat(z).denominator)
     (_, x, _, y), _, _ = _companion_product(cleared, depth, (0, L * u, 0, v), strip=True)
@@ -548,10 +501,9 @@ def _eval_pair(cf: CFSpec, depth: int) -> tuple:
     gcd(L^(k+1), X, Y); for integral a and b (L = 1) nothing is divided out.
     """
     L, cleared = _cleared(cf)
-    s = _tree_state(cleared, depth, _LAST_COLUMN)
-    k = s.n - 1 - s.truncated
+    (_, p, _, q), k, _ = _companion_product(cleared, depth, _LAST_COLUMN, strip=False)
     u, v = cf.head.numerator, cf.head.denominator
-    x, y = u * L * s.q + v * s.p, v * L * s.q
+    x, y = u * L * q + v * p, v * L * q
     g = math.gcd(L ** (k + 1), x, y)
     return x // g, y // g
 
@@ -565,8 +517,8 @@ def _eval_pair(cf: CFSpec, depth: int) -> tuple:
 class CFLimit:
     """Outcome of the constant-CF classifier.
 
-    kind is one of "converges", "diverges_oscillates", "diverges_infinite";
-    root is the exact limit (a QuadSurd) when kind == "converges".
+    kind is "converges" or "diverges_oscillates"; root is the exact limit
+    (a QuadSurd) when kind == "converges".
     """
 
     kind: str
@@ -574,7 +526,6 @@ class CFLimit:
 
     CONVERGES = "converges"
     OSCILLATES = "diverges_oscillates"
-    INFINITE = "diverges_infinite"
 
 
 def constant_cf_limit(A, B) -> CFLimit:

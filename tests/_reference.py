@@ -18,7 +18,9 @@ convergent kernel and for the convergent stream: they walk the plain
 three-term recurrence, written out in reference_states, over the terms of the
 CF as given (Fraction arithmetic for rational coefficients), where polycf
 steps its own companion step, clears denominators and multiplies in a
-product tree.  reference_eval_pair brings
+product tree.  reference_apply, the Mobius action of a state's matrix, is
+the oracle for product_apply, which reads the action off the cleared
+integer product.  reference_eval_pair brings
 the stream's Fractions to the integer pair the CLI prints with an lcm, where
 polycf reads it off the cleared integer state.  In the same way
 reference_euler_partial_value sums the closed form term by term, and
@@ -324,6 +326,17 @@ def reference_euler_partial_value(t, n: int):
     return (fv[1] * h2v[1] / fv[0]) * (1 / total - 1)
 
 
+def reference_apply(m: Mat2, z):
+    """The Mobius action z -> (a z + b)/(c z + d) of a nonsingular m on the
+    projective line: finite z with c z + d = 0 maps to INF, and INF maps to
+    a/c, or to INF when c = 0."""
+    if is_inf(z):
+        return INF if m.c == 0 else m.a / m.c
+    z = rat(z)
+    den = m.c * z + m.d
+    return INF if den == 0 else (m.a * z + m.b) / den
+
+
 def reference_triangular_product(term, n: int) -> Mat2:
     """prod_{i=1}^{n-1} T(i) for the upper triangular T(i) = term(i), in one
     pass: the diagonal multiplies out and the corner obeys
@@ -359,7 +372,7 @@ def reference_rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     prod = reference_triangular_product(term, n)
     z = prod.b / prod.d
     u1inv = Mat2(h2_vals[1], 0, -1, 1 / h2_vals[1])
-    return u1inv.apply(z)
+    return reference_apply(u1inv, z)
 
 
 def reference_zeta_sum(t) -> ZetaCombo:
@@ -562,9 +575,6 @@ class RefPoly:
             return self
         return self(RefPoly((rat(k), 1)))
 
-    def derivative(self) -> "RefPoly":
-        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "RefPoly":
         return self / self.lead
 
@@ -588,7 +598,7 @@ class RefPoly:
     def __str__(self):
         return self.to_text()
 
-    def to_text(self, var: str = "n") -> str:
+    def to_text(self) -> str:
         """Canonical text form, descending powers; parses back exactly."""
         if not self.coeffs:
             return "0"
@@ -601,9 +611,9 @@ class RefPoly:
             if k == 0:
                 body = str(mag)
             elif mag == 1:
-                body = var if k == 1 else f"{var}^{k}"
+                body = "n" if k == 1 else f"n^{k}"
             else:
-                body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+                body = f"{mag}*n" if k == 1 else f"{mag}*n^{k}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:

@@ -63,7 +63,8 @@ def poly_cfs(draw) -> CFSpec:
         b = draw(polys(2).filter(lambda p: not p.is_zero)) * (X - r)
     else:
         a, b = draw(polys(3)), draw(polys(3))
-    return CFSpec(b=b, a=a, start=start, head=head)
+    # K_{i>=start}, reindexed to start at 1
+    return CFSpec(b=b.shift(start - 1), a=a.shift(start - 1), head=head)
 
 
 @st.composite

@@ -233,7 +233,7 @@ def test_parse_factored_folds_constant_blocks_into_the_constant():
 def test_quad_surd_normalization_oracle():
     assert QuadSurd(2, 3, 4) == QuadSurd(8)          # sqrt(4) = 2
     assert QuadSurd(1, 1, 12) == QuadSurd(1, 2, 3)   # sqrt(12) = 2 sqrt(3)
-    assert QuadSurd(5, 0, 7).is_rational
+    assert repr(QuadSurd(5, 0, 7)) == "QuadSurd(5, 0, 0)"   # v = 0 drops d
     golden = QuadSurd(F(1, 2), F(1, 2), 5)
     assert golden * golden - golden == QuadSurd(1)
     assert str(golden) == "1/2 + 1/2*sqrt(5)"
@@ -355,7 +355,6 @@ def test_parse_round_trip_random():
     for _ in range(50):
         p = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))])
         assert parse_poly(p.to_text()) == p
-        assert parse_poly(p.to_text("x")) == p
 
 
 def test_assemble_factored_round_trip():
@@ -405,11 +404,10 @@ def test_poly_ring_ops_match_reference(a, b, c):
 
 @given(coeff_lists(4), coeff_lists(3), st.integers(0, 4), nonzero_scalars)
 @settings(max_examples=150, deadline=None)
-def test_poly_pow_divmod_div_monic_derivative_match_reference(a, b, k, c):
+def test_poly_pow_divmod_div_monic_match_reference(a, b, k, c):
     p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
     assert same(p**k, rp**k)
     assert same(p / c, rp / c) and same(p / -c, rp / -c)
-    assert same(p.derivative(), rp.derivative())
     if rq.is_zero:
         with pytest.raises(ZeroDivisionError):
             divmod(p, q)
@@ -464,7 +462,6 @@ def test_poly_structure_matches_reference(a):
     else:
         assert p.lead == rp.lead and type(p.lead) is F
     assert str(p) == str(rp) and repr(p) == repr(rp)
-    assert p.to_text("x") == rp.to_text("x")
 
 
 @given(coeff_lists(3), coeff_lists(3), scalars)
@@ -626,7 +623,7 @@ def equal_forms(x):
     if isinstance(x, QuadSurd):
         # sqrt(9 d) = 3 sqrt(d)
         forms = [QuadSurd(x.u, x.v / 3, 9 * x.d)]
-        return forms + [x.u, Poly.const(x.u), RatFunc(x.u)] if x.is_rational else forms
+        return forms + [x.u, Poly.const(x.u), RatFunc(x.u)] if x.v == 0 else forms
     if isinstance(x, RatFunc):
         forms = [RatFunc(x.num * (X + 2), x.den * (X + 2))]
         return forms + equal_forms(x.num) if x.is_poly else forms

@@ -207,7 +207,7 @@ def test_equivalence_shift_device_exponential_tail():
     assert bs == [Fraction(-j) for j in range(1, 11)]
     assert as_ == [Fraction(j + 2) for j in range(1, 11)]
     # and the values agree with the original tail at every depth
-    tail = CFSpec(b=b_orig, a=a_orig, start=2)
+    tail = CFSpec(b=lambda i: b_orig(i + 1), a=lambda i: a_orig(i + 1))
     for depth in range(1, 9):
         assert cf_value(tail, depth) == cf_value(CFSpec(b=bs, a=as_), depth)
 

@@ -384,8 +384,6 @@ def test_zeta_combo_validation_and_rendering():
     assert str(ZetaCombo(Fraction(0), {}, ZetaCombo.DIVERGENT, Fraction(1, 2))) == (
         "divergent (uncancelled residue 1/2)"
     )
-    d = ZetaCombo(Fraction(-12), {2: Fraction(8)}).to_dict()
-    assert d == {"const": "-12", "zeta": {"2": "8"}, "status": "exact"}
 
 
 def test_closed_form_rendering_and_guards():
@@ -432,8 +430,7 @@ def test_beta_integral_branch():
         Fraction(0),
         Fraction(1, 2),
     )
-    assert form.beta_params() == (Fraction(1), Fraction(1))
-    assert "integral_0^1" in str(form)
+    assert str(form).startswith("sum = (1/B(1, 1)) * integral_0^1")
     # the described integral is int_0^1 dt/(1 - t/2) = 2 log 2; check the
     # underlying series against an exact log-2 partial sum
     series = sum(

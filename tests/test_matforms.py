@@ -150,16 +150,6 @@ def test_cf_form_coboundary_holds():
     assert not coboundary_check(m, cfm, bad)
 
 
-def test_coboundary_up_to_scalar():
-    """Rescaling u(i) by a function of i leaves only the scalar version true:
-    the two sides then differ by the ratio c(i+1)/c(i)."""
-    m = PolyMat2(X + 1, X + 2, X + 3, X + 4)
-    cfm, u, _ = to_cf_form(m)
-    scaled = PolyMat2(u.a * X, u.b * X, u.c * X, u.d * X)
-    assert not coboundary_check(m, cfm, scaled)
-    assert coboundary_check(m, cfm, scaled, up_to_scalar=True)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     a=small_poly(),

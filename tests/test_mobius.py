@@ -18,7 +18,6 @@ from polycf import (
     Mat2,
     Poly,
     QuadSurd,
-    SingularMatrix,
     cf_value,
     constant_cf_limit,
     convergents,
@@ -34,20 +33,22 @@ from polycf import (
 from polycf import mobius
 from polycf.mobius import (
     _EXACT_DIV_BITS,
+    _IDENTITY,
     _LAST_COLUMN,
     _LEAF,
     _cleared,
+    _companion_product,
     _companion_step,
     _eval_pair,
     _exact_div,
     _fraction,
     _mat_mul,
     _tree_product,
-    _tree_state,
 )
 
 from _reference import (
     outcome,
+    reference_apply,
     reference_cf_value,
     reference_euler_partial_value,
     reference_eval_pair,
@@ -69,7 +70,6 @@ def test_four_elevenths_explicit():
         Fraction(1, 3),
         Fraction(4, 11),
     ]
-    assert states[-1].reduced() == (4, 11)
 
 
 def test_four_elevenths_polynomial_route():
@@ -96,19 +96,12 @@ def test_depth_zero_is_head():
 
 def test_mobius_cases():
     m = Mat2(1, 2, 3, 4)
-    assert m.apply(Fraction(1)) == Fraction(3, 7)
-    assert m.apply(Fraction(-4, 3)) is INF  # cz + d = 0
-    assert m.apply(INF) == Fraction(1, 3)  # a/c
-    assert Mat2(1, 2, 0, 4).apply(INF) is INF  # c = 0
-    assert Mat2(5, 0, 0, 5).apply(Fraction(9, 7)) == Fraction(9, 7)  # scalar
-    assert Mat2(0, 1, 1, 0).apply(Fraction(0)) is INF
-
-
-def test_inverse_and_singular():
-    m = Mat2(1, 2, 3, 4)
-    assert m * m.inverse() == Mat2.identity()
-    with pytest.raises(SingularMatrix):
-        Mat2(1, 2, 2, 4).inverse()
+    assert reference_apply(m, Fraction(1)) == Fraction(3, 7)
+    assert reference_apply(m, Fraction(-4, 3)) is INF  # cz + d = 0
+    assert reference_apply(m, INF) == Fraction(1, 3)  # a/c
+    assert reference_apply(Mat2(1, 2, 0, 4), INF) is INF  # c = 0
+    assert reference_apply(Mat2(5, 0, 0, 5), Fraction(9, 7)) == Fraction(9, 7)  # scalar
+    assert reference_apply(Mat2(0, 1, 1, 0), Fraction(0)) is INF
 
 
 def test_step_matrix_composition():
@@ -190,7 +183,6 @@ def test_pole_mid_stream_is_not_truncation():
     vals = [s.value for s in states[1:]]
     assert vals[0] is INF and vals[2] is INF
     assert vals[1] == 0 and vals[3] == 0
-    assert states[1].reduced() == (1, 0) and states[2].reduced() == (0, 1)
     assert not any(s.truncated for s in states)
 
 
@@ -215,19 +207,19 @@ def _fields(state):
 
 
 def _scaled_back(cf, depth):
-    """The fields of the tree state of the cleared cf after its k steps,
-    divided by the powers of L that the clearing puts on them."""
+    """The fields of the state that the tree product of the cleared cf gives
+    after its k steps, divided by the powers of L that the clearing puts on
+    them."""
     L, cleared = _cleared(cf)
-    s = _tree_state(cleared, depth)
-    k = s.n - 1 - s.truncated
+    (p_prev, p, q_prev, q), k, truncated = _companion_product(cleared, depth, _IDENTITY, strip=False)
     Lk = L**k
     return (
-        s.n,
-        Fraction(s.p_prev, Lk),
-        Fraction(s.p, Lk * L),
-        Fraction(s.q_prev * L, Lk),
-        Fraction(s.q, Lk),
-        s.truncated,
+        k + 1 + truncated,
+        Fraction(p_prev, Lk),
+        Fraction(p, Lk * L),
+        Fraction(q_prev * L, Lk),
+        Fraction(q, Lk),
+        truncated,
     )
 
 
@@ -235,7 +227,7 @@ def _outcome(fn, *args):
     """fn(*args), or the type of the polycf error it raised."""
     try:
         return fn(*args)
-    except (InvalidInput, DegenerateTerm, SingularMatrix) as exc:
+    except (InvalidInput, DegenerateTerm) as exc:
         return type(exc)
 
 
@@ -246,7 +238,7 @@ def test_tree_state_matches_stream(cf, depth):
     assert _scaled_back(cf, depth) == _fields(want)
     assert cf_value(cf, depth) == reference_cf_value(cf, depth)
     for z in (Fraction(0), INF, Fraction(1, 3)):
-        assert _outcome(product_apply, cf, depth, z) == _outcome(lambda: want.as_matrix().apply(z))
+        assert product_apply(cf, depth, z) == reference_apply(want.as_matrix(), z)
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,7 +290,8 @@ def test_callable_degenerate_term_raises_at_the_same_term():
 
 
 def test_integral_poly_terms_are_ints():
-    cf = CFSpec(b=parse_poly("-n^6"), a=parse_poly("34n^3+51n^2+27n+5"), start=2)
+    # the CF from index 2 on, reindexed to start at 1
+    cf = CFSpec(b=parse_poly("-n^6").shift(1), a=parse_poly("34n^3+51n^2+27n+5").shift(1))
     terms = [t for _, t in zip(range(5), cf.terms())]
     assert terms == [(-(i**6), 34 * i**3 + 51 * i**2 + 27 * i + 5) for i in range(2, 7)]
     assert all(type(b) is int and type(a) is int for b, a in terms)
@@ -345,9 +338,9 @@ def test_product_apply_at_a_pole_of_the_action():
             want = reference_state_at(cf, depth)
             z = Fraction(-want.q, want.q_prev)
             assert product_apply(cf, depth, z) is INF
-            assert want.as_matrix().apply(z) is INF
+            assert reference_apply(want.as_matrix(), z) is INF
             # and z shifted off the pole gives the stream's matrix action
-            assert product_apply(cf, depth, z + 1) == want.as_matrix().apply(z + 1)
+            assert product_apply(cf, depth, z + 1) == reference_apply(want.as_matrix(), z + 1)
 
 
 # --- the tree's tail and exact division ---
@@ -434,7 +427,7 @@ def test_stripped_cf_value_and_product_apply_match_the_stream(cf, depth, stop_bi
     with _forced_strip(stop_bits):
         assert cf_value(cf, depth) == reference_cf_value(cf, depth)
         for z in (Fraction(0), INF, Fraction(1, 3)):
-            assert _outcome(product_apply, cf, depth, z) == _outcome(lambda: want.as_matrix().apply(z))
+            assert product_apply(cf, depth, z) == reference_apply(want.as_matrix(), z)
 
 
 @settings(max_examples=150, deadline=None)
@@ -487,11 +480,11 @@ def test_strip_stops_on_a_branch_with_little_content(monkeypatch):
 
 def test_raw_readers_keep_the_unstripped_product():
     depth = 2048
-    s = _tree_state(APERY, depth)
-    assert s.p_prev * s.q - s.p * s.q_prev == math.factorial(depth) ** 6
+    (p_prev, p, q_prev, q), _, _ = _companion_product(APERY, depth, _IDENTITY, strip=False)
+    assert p_prev * q - p * q_prev == math.factorial(depth) ** 6
     want = reference_state_at(APERY, depth)
     assert _eval_pair(APERY, depth) == (want.p, want.q)
-    assert (s.p, s.q) == (want.p, want.q)
+    assert (p, q) == (want.p, want.q)
 
 
 def _exact_div_cases():
@@ -588,7 +581,7 @@ def test_constant_classifier_golden():
 def test_constant_classifier_rational_root():
     # A=3, B=4: x^2+3x-4 = (x+4)(x-1), attracting root 1
     res = constant_cf_limit(3, 4)
-    assert res.root.is_rational and res.root.as_fraction() == 1
+    assert res.root == QuadSurd(1)
     # convergents of K 4/3 approach 1
     v = cf_value(CFSpec(b=Poly.const(4), a=Poly.const(3)), 40)
     assert abs(v - 1) < Fraction(1, 10**10)
