@@ -5,36 +5,20 @@ written in the text grammar of :mod:`polycf.algebra` (variable n or x).  All
 numeric output is exact fraction strings; pass --digits for an additional
 decimal rendering computed by integer long division.  Exit codes: 0 success,
 1 domain error (the message carries the library error name), 2 parse error.
+
+Only the parser's modules (algebra, errors) load with this one; each
+subcommand imports the modules it runs inside its own function, so a short
+call does not pay for compiling the rest of the library.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .algebra import Poly, is_inf, parse_factored, parse_poly
 from .errors import NonTelescoping, PolycfError, PolyParseError
-from .euler import EulerTriple, euler_partial_value, trivial_triple
-from .identify import identify
-from .limits import (
-    beta_degree1,
-    cf_limit_from_zeta,
-    dominant_limit,
-    numeric_limit,
-    telescoping_zeta_sum,
-)
-from .matforms import (
-    euler_cf_matrix,
-    euler_left_eigen,
-    rederive_euler_sum,
-    to_cf_form,
-    to_integral_cf_form,
-    triangularize,
-    PolyMat2,
-)
-from .mobius import CFSpec, cf_value, constant_cf_limit, CFLimit, _eval_pair
 
 
 def _poly_arg(text: str) -> Poly:
@@ -160,6 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> list[str]:
+    from .mobius import CFSpec, _eval_pair, cf_value
+
     cf = CFSpec(b=args.b, a=args.a, head=args.head)
     if args.reduced:
         # the reduced pair is unique, so cf_value's stripped product gives it
@@ -176,11 +162,18 @@ def _cmd_eval(args) -> list[str]:
 
 
 def _cmd_identify(args) -> list[str]:
+    import json
+
+    from .identify import identify
+
     report = identify(args.a, args.b, factored=args.b_factored)
     return [json.dumps(report.to_dict(), indent=2)]
 
 
-def _render_closed_form(t: EulerTriple) -> list[str]:
+def _render_closed_form(t) -> list[str]:
+    """The closed-form lines of `limit --closed-form` for the EulerTriple t."""
+    from .limits import beta_degree1, cf_limit_from_zeta, dominant_limit, telescoping_zeta_sum
+
     lines = [
         f"triple: h1 = {t.h1.to_text()}, h2 = {t.h2.to_text()}, f = {t.f.to_text()}"
     ]
@@ -212,6 +205,9 @@ def _render_closed_form(t: EulerTriple) -> list[str]:
 
 
 def _cmd_limit(args) -> list[str]:
+    from .limits import numeric_limit
+    from .mobius import CFLimit, CFSpec, constant_cf_limit
+
     if args.a.degree in (0, None) and args.b.degree in (0, None):
         res = constant_cf_limit(args.a.coeff(0), args.b.coeff(0))
         lines = [res.kind]
@@ -240,6 +236,8 @@ def _cmd_limit(args) -> list[str]:
     if args.closed_form and args.b.is_zero:
         lines.append("no closed form found (b = 0, the CF is finite)")
     elif args.closed_form:
+        from .identify import identify
+
         report = identify(args.a, args.b)
         if not report.solutions:
             lines.append("no closed form found (no Euler-family match)")
@@ -249,6 +247,8 @@ def _cmd_limit(args) -> list[str]:
 
 
 def _cmd_convert(args) -> list[str]:
+    from .matforms import PolyMat2, to_cf_form, to_integral_cf_form
+
     m = PolyMat2(*args.matrix)
     cfm, u, init = to_cf_form(m)
     return [
@@ -260,6 +260,9 @@ def _cmd_convert(args) -> list[str]:
 
 
 def _cmd_triangularize(args) -> list[str]:
+    from .euler import euler_partial_value, trivial_triple
+    from .matforms import euler_cf_matrix, euler_left_eigen, rederive_euler_sum, triangularize
+
     h1, h2, n = args.h1, args.h2, args.depth
     t, alpha = triangularize(euler_cf_matrix(h1, h2), euler_left_eigen(h1, h2))
     v1 = rederive_euler_sum(h1, h2, n)

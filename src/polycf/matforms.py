@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, RatFunc, horner, is_inf, rat
+from .algebra import INF, Poly, RatFunc, horner, is_inf
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroF
 from .mobius import _LAST_COLUMN, Mat2, _Matrix2, _fraction, _mat_mul, _tree_product
 

@@ -26,7 +26,6 @@ from polycf import (
     Poly,
     PoleInFormula,
     PreconditionViolated,
-    RatFunc,
     beta_degree1,
     cf_limit_from_zeta,
     constant_cf_limit,

@@ -23,7 +23,6 @@ from polycf import (
     convergents,
     convergents_from_terms,
     euler_partial_value,
-    is_inf,
     parse_poly,
     product_apply,
     rederive_euler_sum,

@@ -1,9 +1,14 @@
 """The package's public surface."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import polycf
 
@@ -77,3 +82,78 @@ def test_every_public_name_has_a_use_outside_the_tests():
                 if not member.startswith("_") and member not in used
             }
     assert sorted(unused) == []
+
+
+# the seven modules behind __all__
+LIBRARY = {"algebra", "errors", "mobius", "euler", "identify", "limits", "matforms"}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The polycf submodules (bare names, "" for the package) loaded after
+    code runs in a fresh interpreter."""
+    report = "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'polycf'))"
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    r = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    return {m.partition(".")[2] for m in r.stdout.splitlines()[-1].split()}
+
+
+_CLI_CALL = """
+import contextlib, io
+import polycf.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        polycf.cli.main({argv!r})
+    except SystemExit:
+        pass
+"""
+
+_PARSER = {"", "cli", "algebra", "errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["eval", "--a", "n", "--b", "1", "--depth", "4"], {"mobius"}),
+        (["eval", "--a", "n^", "--b", "1", "--depth", "4"], set()),
+        (["identify", "--a", "2n+1", "--b", "-n^2"], {"mobius", "euler", "identify"}),
+        (["limit", "--a", "n", "--b", "1", "--max-depth", "8"], {"mobius", "euler", "limits"}),
+        (
+            ["limit", "--a", "2n+1", "--b", "-n^2", "--max-depth", "8", "--closed-form"],
+            {"mobius", "euler", "limits", "identify"},
+        ),
+        (["convert", "--matrix", "n+1,n^2,2n+1,3"], {"mobius", "matforms"}),
+        (["triangularize", "--h1", "n+1", "--h2", "n+2", "--depth", "4"], {"mobius", "euler", "matforms"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    assert _loaded_after(_CLI_CALL.format(argv=argv)) == _PARSER | modules
+
+
+def test_importing_the_package_and_cli_loads_no_analysis_module():
+    assert _loaded_after("import polycf") == {""}
+    assert _loaded_after("import polycf, polycf.cli") == _PARSER
+
+
+def test_the_first_public_name_loads_the_whole_library():
+    # the benchmark finds the modules it wraps in sys.modules after this
+    assert _loaded_after("import polycf; polycf.Poly") == {""} | LIBRARY
+    assert _loaded_after("from polycf import ZetaCombo") == {""} | LIBRARY
+
+
+def test_star_import_dir_and_unknown_names_before_the_library_loads():
+    code = """
+import polycf
+assert set(polycf.__all__) <= set(dir(polycf))
+assert not hasattr(polycf, "no_such_name")
+namespace = {}
+exec("from polycf import *", namespace)
+assert set(polycf.__all__) <= namespace.keys()
+"""
+    assert _loaded_after(code) == {""} | LIBRARY
