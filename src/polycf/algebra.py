@@ -9,7 +9,9 @@ shared ground types:
 * ``Poly``      dense univariate polynomials over Q, stored as int
                 numerators over one positive int denominator
 * ``horner``    the one Horner evaluation on ints, behind every Poly
-                evaluation and the integer kernels downstream
+                evaluation at a point
+* ``eval_range`` an integral polynomial's values at consecutive indices,
+                in bounded batches, behind the integer kernels downstream
 * ``RatFunc``   reduced quotients of two polynomials
 
 plus the text grammar used by the command line tool and the rational-root
@@ -34,7 +36,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidInput, PolyParseError
 
@@ -367,7 +369,8 @@ def horner(desc, p: int, q: int = 1) -> int:
     whose integer coefficients `desc` lists highest power first (the order
     the rule consumes them: a Poly's numerators reversed, which loops over
     many points reverse once).  With q = 1 this is H(p).  Every evaluation
-    of a Poly runs here; at a Poly, p is that Poly.
+    of a Poly at one point runs here; at a Poly, p is that Poly.  Runs of
+    consecutive indices go through eval_range.
 
     >>> horner((34, 51, 27, 5), 1), horner((34, 51, 27, 5), 1, 2)
     (117, 284)
@@ -382,6 +385,72 @@ def horner(desc, p: int, q: int = 1) -> int:
         acc = acc * p + c * qpow
         qpow *= q
     return acc
+
+
+# Values per batch of eval_range: a bound on every batch, whatever the
+# range, and a multiple of the product tree's leaf (mobius._LEAF), so that
+# the tree's leaves fill whole batches.
+_BATCH = 256
+
+
+def eval_range(desc, start: int, stop: int | None = None) -> Iterator[list]:
+    """H(start), H(start + 1), ..., H(stop - 1) (with no end for stop None)
+    in lists of _BATCH values, the last one shorter, for the polynomial H
+    whose integer coefficients `desc` lists highest power first (as for
+    horner; the empty list is the zero polynomial).
+
+    The values come from forward differences: horner gives H at the first
+    d + 1 indices (d the degree), whose difference table holds D^j H(start)
+    for j = 0..d.  D^d H is constant, so D^(d-1) H runs through a range, and
+    D^j H(i + k) is D^j H(i) plus the sum of D^(j+1) H(i + m) for m < k, so
+    one itertools.accumulate per lower order builds a batch from the top
+    order down, with no Python call per value; its last sum is D^j H at the
+    next batch.  A range of fewer than 6 (d + 1) values, where setting up
+    the table costs more than it saves, is read by horner.
+
+    >>> list(eval_range((34, 51, 27, 5), 0, 4))
+    [[5, 117, 535, 1463]]
+    """
+    d = max(len(desc) - 1, 0)
+    if stop is not None and stop - start < 6 * (d + 1):
+        if stop > start:
+            yield [horner(desc, i) for i in range(start, stop)]
+        return
+    # D^j H at the first index of the next batch, from H(start..start+d)
+    diffs = [horner(desc, start + k) for k in range(d + 1)]
+    for j in range(1, d + 1):
+        for k in range(d, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    i = start
+    while stop is None or i < stop:
+        size = _BATCH if stop is None else min(_BATCH, stop - i)
+        if d == 0:
+            row = [diffs[0]] * size
+        else:
+            step, first = diffs[d], diffs[d - 1]
+            diffs[d - 1] = first + step * size
+            row = list(range(first, diffs[d - 1], step)) if step else [first] * size
+        for j in range(d - 2, -1, -1):
+            row = list(itertools.accumulate(row, initial=diffs[j]))
+            diffs[j] = row.pop()
+        yield row
+        i += size
+
+
+def scaled_desc(p: Poly, c: int) -> list:
+    """The integer coefficients of c p, highest power first (as horner and
+    eval_range take them), for an int c that p's denominator divides."""
+    k = c // p.denominator
+    return [x * k for x in reversed(p.numerators)]
+
+
+def first_zero(desc, start: int, stop: int) -> int | None:
+    """The least i in start..stop-1 with H(i) = 0 (H as for eval_range),
+    else None."""
+    for i, batch in zip(itertools.count(start, _BATCH), eval_range(desc, start, stop)):
+        if 0 in batch:
+            return i + batch.index(0)
+    return None
 
 
 class Poly(_Exact):

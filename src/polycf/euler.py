@@ -21,8 +21,10 @@ denominator), consecutive summands of its sum S have the ratio p/q with
     p = F(k-1) H1(k) D2,   q = F(k+1) H2(k+1) D1,
 
 so S = [A(1) ... A(n)](1; 1) for the steps A(k) = (p, q; 0, q), which
-mobius._tree_product multiplies as a balanced product tree with the column
-(1, 1) as its tail.
+mobius._tree_product multiplies as a balanced product tree, its leaves by
+mobius._triangular_leaves, with the column (1, 1) as its tail.  p and q are
+the values of the integer polynomials F(x-1) H1(x) D2 and F(x+1) H2(x+1) D1
+at k, read by algebra.eval_range.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, horner, rational_roots
+from .algebra import INF, Poly, eval_range, first_zero, horner, rational_roots, scaled_desc
 from .errors import (
     DegenerateTerm,
     InvalidInput,
@@ -38,7 +40,7 @@ from .errors import (
     PoleInFormula,
     ZeroScaler,
 )
-from .mobius import CFSpec, _fraction, _term, _tree_product
+from .mobius import CFSpec, _fraction, _term, _tree_product, _triangular_leaves
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,6 @@ def equivalence_transform(b, a, c, n: int | None = None):
     return bs, as_, 1 / c_vals[0]
 
 
-def _ratio_step(leaf: tuple, ratio: tuple) -> tuple:
-    """leaf * (p, q; 0, q) for an upper triangular leaf, in 3 products."""
-    a, b, _, d = leaf
-    p, q = ratio
-    return (a * p, (a + b) * q, 0, d * q)
-
-
 def euler_partial_value(t: EulerTriple, n: int):
     """Closed form for the depth-n value of the CF of a triple.
 
@@ -200,25 +195,33 @@ def euler_partial_value(t: EulerTriple, n: int):
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
-    H1, H2, F = (p.numerators[::-1] for p in (t.h1, t.h2, t.f))
-    D1, D2 = t.h1.denominator, t.h2.denominator
-    fv = [horner(F, k) for k in range(n + 2)]
-    for k, v in enumerate(fv):
-        if v == 0:
-            raise PoleInFormula(k, "f")
-    h2v = [None] + [horner(H2, k) for k in range(1, n + 2)]
-    for k in range(1, n + 2):
-        if h2v[k] == 0:
-            raise PoleInFormula(k, "h2")
+    f, h2 = t.f.numerators[::-1], t.h2.numerators[::-1]  # F and H2
+    D2 = t.h2.denominator
 
-    def ratios():
-        for k in range(1, n + 1):
-            yield fv[k - 1] * horner(H1, k) * D2, fv[k + 1] * h2v[k + 1] * D1
+    def raise_first_pole():
+        for name, desc, start in (("f", f, 0), ("h2", h2, 1)):
+            k = first_zero(desc, start, n + 2)
+            if k is not None:
+                raise PoleInFormula(k, name)
+
+    f0, f1, h2_1 = horner(f, 0), horner(f, 1), horner(h2, 1)
+    if 0 in (f0, f1, h2_1):
+        raise_first_pole()
+    # P(x) = F(x-1) H1(x) D2 and Q(x) = F(x) H2(x) D1, as c f(x-1) h1(x)
+    # and c f(x) h2(x) for c = Df D1 D2
+    c = t.f.denominator * t.h1.denominator * D2
+    P, Q = scaled_desc(t.f.shift(-1) * t.h1, c), scaled_desc(t.f * t.h2, c)
+
+    def batches():
+        # p(k) = P(k), q(k) = Q(k + 1) for k = 1..n; q is 0 only at a pole
+        for ps, qs in zip(eval_range(P, 1, n + 1), eval_range(Q, 2, n + 2)):
+            if 0 in qs:
+                raise_first_pole()
+            yield ps, qs, qs
 
     # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d; the tail (0, 1; 0, 1)
     # gives the column (a + b, d) alone
-    _, s, _, d = _tree_product(ratios(), _ratio_step, (0, 1, 0, 1), strip=True)
+    _, s, _, d = _tree_product(_triangular_leaves(batches()), (0, 1, 0, 1), strip=True)
     if s == 0:
         return INF
-    return _fraction(fv[1] * h2v[1] * (d - s), fv[0] * D2 * s)
-
+    return _fraction(f1 * h2_1 * (d - s), f0 * D2 * s)

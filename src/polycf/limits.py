@@ -62,7 +62,10 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
     Checkpoints are depths 8, 16, 32, ...; the run stops at the first
     checkpoint pair with |x(2n) - x(n)| < eps, reporting x(2n).  A CF
     truncated by a zero b(i) has an exact value, returned with delta 0.
-    Checkpoints whose convergent is a pole are skipped for comparison.
+    Checkpoints whose convergent is a pole are skipped for comparison, and
+    one whose previous convergent x(2n - 1) is a pole (q_prev = 0) never
+    ends the run: K n/0, whose convergents alternate between a pole and 0,
+    has no limit, though its checkpoints all read 0.
 
     The stream walked is that of the cleared CF (b L^2, a L; see
     polycf.mobius._cleared), whose states are plain ints for Poly
@@ -90,7 +93,7 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
                 val = cf.head + v
                 if prev is not None:
                     last_delta = abs(val - prev)
-                    if last_delta < eps:
+                    if last_delta < eps and state.q_prev != 0:
                         return LimitEstimate(val, last_delta, depth, LimitEstimate.ESTIMATED)
                 prev = val
                 last_val = val

@@ -23,7 +23,9 @@ denominator), the scaled step
 is integral, and the scalar factors cancel in corner/prod_g.
 
 ``rederive_euler_sum`` multiplies these scaled steps by
-``mobius._tree_product`` with the leaf step ``_triangular_step``.
+``mobius._tree_product``, its leaves by ``mobius._triangular_leaves``, the
+entries read by ``algebra.eval_range`` as the values of three integer
+polynomials.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, RatFunc, horner, is_inf
+from .algebra import INF, Poly, RatFunc, eval_range, first_zero, horner, is_inf, scaled_desc
 from .errors import InvalidInput, PoleInFormula, ZeroCEntry, ZeroF
 from .mobius import _LAST_COLUMN, Mat2, _Matrix2, _fraction, _mat_mul, _tree_product
+from .mobius import _triangular_leaves
 
 
 def _sym(x):
@@ -150,22 +153,23 @@ def cf_form_states(m: PolyMat2, n: int) -> list[Mat2]:
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     cfm, _, _ = to_cf_form(m)
-    poles = [e.den.numerators[::-1] for e in (cfm.b, cfm.d) if isinstance(e, RatFunc)]
+    dens = [e.den.numerators[::-1] for e in (cfm.b, cfm.d) if isinstance(e, RatFunc)]
+    pole = min(filter(None, (first_zero(den, 1, n + 1) for den in dens)), default=None)
+    if pole:
+        raise ZeroDivisionError(f"matrix entry has a pole at index {pole}")
     L = math.lcm(*(e.denominator for e in m.entries))
-    A, B, C, D = ((e * L).numerators[::-1] for e in m.entries)
     # columns (p_j, q_j) of L^j M(1) ... M(j), j = 0 .. n + 1
     r = (1, 0, 0, 1)
     cols = [(Fraction(1), Fraction(0))]
     Lj = 1
-    for j in range(1, n + 2):
-        if j <= n and any(horner(den, j) == 0 for den in poles):
-            raise ZeroDivisionError(f"matrix entry has a pole at index {j}")
-        r = _mat_mul(r, (horner(A, j), horner(B, j), horner(C, j), horner(D, j)))
-        if L == 1:
-            cols.append((Fraction(r[0]), Fraction(r[2])))
-        else:
-            Lj *= L
-            cols.append((Fraction(r[0], Lj), Fraction(r[2], Lj)))
+    for batch in zip(*(eval_range(scaled_desc(e, L), 1, n + 2) for e in m.entries)):
+        for step in zip(*batch):
+            r = _mat_mul(r, step)
+            if L == 1:
+                cols.append((Fraction(r[0]), Fraction(r[2])))
+            else:
+                Lj *= L
+                cols.append((Fraction(r[0], Lj), Fraction(r[2], Lj)))
     return [Mat2(p, p1, q, q1) for (p, q), (p1, q1) in zip(cols, cols[1:])]
 
 
@@ -224,13 +228,6 @@ def triangularize(m: PolyMat2, left: EigenSeq) -> tuple[PolyMat2, object]:
     return t, alpha
 
 
-def _triangular_step(leaf: tuple, step: tuple) -> tuple:
-    """leaf * (alpha, beta; 0, gamma) for an upper triangular leaf."""
-    a, b, _, d = leaf
-    alpha, beta, gamma = step
-    return (a * alpha, a * beta + b * gamma, 0, d * gamma)
-
-
 def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     """Partial CF value K_{i=1}^{n-1} b(i)/a(i) of the trivial family, via
     the triangular route only.
@@ -249,24 +246,35 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     """
     if n < 1:
         raise InvalidInput("n must be at least 1")
-    H1, H2 = h1.numerators[::-1], h2.numerators[::-1]
-    D1, D2 = h1.denominator, h2.denominator
-    h2v = [None]
-    for k in range(1, n + 1):
-        v = horner(H2, k)
-        if v == 0:
+    h2_desc = h2.numerators[::-1]  # H2
+
+    def raise_first_pole():
+        k = first_zero(h2_desc, 1, n + 1)
+        if k is not None:
             raise PoleInFormula(k, "h2")
-        h2v.append(v)
 
-    def steps():
-        for i in range(1, n):
-            h1i = horner(H1, i) * D2
-            yield h1i * h2v[i + 1], -h1i * D2, h2v[i] * h2v[i + 1] * D1
+    H = horner(h2_desc, 1)
+    if H == 0:
+        raise PoleInFormula(1, "h2")
+    # the entries of the scaled step D1 D2 H2(x+1) T(x) (see the module
+    # docstring), as c h1(x) h2(x+1), -c h1(x) and c h2(x) h2(x+1) for
+    # c = D1 D2^2, each read at i = 1..n-1
+    D2 = h2.denominator
+    c = h1.denominator * D2 * D2
+    h2_next = h2.shift(1)
+    descs = [scaled_desc(e, s) for e, s in ((h1 * h2_next, c), (h1, -c), (h2 * h2_next, c))]
 
-    _, corner, _, prod_g = _tree_product(steps(), _triangular_step, _LAST_COLUMN, strip=True)
+    def batches():
+        for alphas, betas, gammas in zip(*(eval_range(desc, 1, n) for desc in descs)):
+            # gamma(i) = H2(i) H2(i+1) D1 is 0 only at a pole
+            if 0 in gammas:
+                raise_first_pole()
+            yield alphas, betas, gammas
+
+    leaves = _triangular_leaves(batches())
+    _, corner, _, prod_g = _tree_product(leaves, _LAST_COLUMN, strip=True)
     # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
     # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
-    H = h2v[1]
     den = D2 * (D2 * prod_g - H * corner)
     if den == 0:
         return INF

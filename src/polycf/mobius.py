@@ -15,36 +15,41 @@ holds on the raw integers.
 
 Deep states are computed on integers.  A Poly stores int numerators over
 one denominator (see polycf.algebra), and that form is the only coefficient
-reader here: ``CFSpec.terms``, the one place where a term becomes an int,
-evaluates a Poly with denominator 1 by ``algebra.horner`` on its
-numerators, and ``_cleared`` takes a CF with Poly coefficients to
+reader here: ``_cleared`` takes a CF with Poly coefficients to
 b -> L^2 b, a -> L a, where L is the lcm of the two stored denominators
 (the constant-c equivalence transform), so its terms are integers and the
-value of the original K part is the cleared value over L.
-``_tree_product(steps, leaf_step, tail)`` is the one product kernel for
-step products (binary splitting).  It multiplies leaves of a few steps by
-the caller's plain recurrence leaf_step, then merges equal-sized
-neighbouring blocks, so that the large multiplications are between operands
-of equal size and only O(log depth) blocks are held.  It returns the
-product times a fixed ``tail``, the identity by default.  A reader that
-needs one column of the product passes a tail whose first column is zero;
-the tail goes into the last leaf, and every merge with that leaf, the top
-merge among them, then costs 4 big products in place of 8.  ``_mat_mul``
-is the one 2x2 product, used by the tree's merges, ``_Matrix2`` (the shell
-of ``Mat2`` and ``matforms.PolyMat2``) and ``matforms.cf_form_states``.
-The callers of the tree, their leaf steps and their tails:
+value of the original K part is the cleared value over L, and a Poly with
+denominator 1 is read by ``algebra.eval_range`` on its numerators, in
+batches of consecutive indices with no Python call per term.
+``CFSpec.terms``, the one place where a single term becomes an int, reads
+those batches one term at a time; ``_companion_product`` hands them to the
+tree whole (any other CF in chunks of its terms).
+``_tree_product(leaves, tail)`` is the one product kernel for step
+products (binary splitting).  Its leaves are the products of _LEAF
+consecutive steps, each multiplied out by one local loop over a batch in
+one of two shapes: ``_companion_leaves`` for (0, b; 1, a) by the
+convergent recurrence, ``_triangular_leaves`` for (alpha, beta; 0, gamma).
+The tree merges equal-sized neighbouring blocks, so that the large
+multiplications are between operands of equal size and only O(log depth)
+blocks are held.  It returns the product times a fixed ``tail``, the
+identity by default.  A reader that needs one column of the product passes
+a tail whose first column is zero; the tail goes into the last leaf, and
+every merge with that leaf, the top merge among them, then costs 4 big
+products in place of 8.  ``_mat_mul`` is the one 2x2 product, used by the
+tree's merges, ``_Matrix2`` (the shell of ``Mat2`` and
+``matforms.PolyMat2``) and ``matforms.cf_form_states``.  The callers of
+the tree, their leaves and their tails:
 
-* ``_companion_product``, from the cleared companion steps (0, b; 1, a) by
-  ``_companion_step``, the stream's own step: behind the CLI's plain
-  ``eval``, with the tail (0, 0; 0, 1), which keeps the column (P', Q'),
-  and behind ``product_apply`` (so ``cf_value`` and ``eval --reduced``)
-  with the column (L u, v) of its argument z = u/v ((L, 0) for INF, (0, 1)
-  for 0);
-* ``euler.euler_partial_value`` from the summand ratios of its closed form,
-  with the tail (0, 1; 0, 1), which gives a + b and d of (a, b; 0, d);
-* ``matforms.rederive_euler_sum`` from scaled integer triangular steps by
-  ``matforms._triangular_step``, with the tail (0, 0; 0, 1), which keeps
-  its corner and prod_g.
+* ``_companion_product``, companion leaves of the cleared terms: behind
+  the CLI's plain ``eval``, with the tail (0, 0; 0, 1), which keeps the
+  column (P', Q'), and behind ``product_apply`` (so ``cf_value`` and
+  ``eval --reduced``) with the column (L u, v) of its argument z = u/v
+  ((L, 0) for INF, (0, 1) for 0);
+* ``euler.euler_partial_value``, triangular leaves (p, q; 0, q) of the
+  summand ratios p/q of its closed form, with the tail (0, 1; 0, 1), which
+  gives a + b and d of (a, b; 0, d);
+* ``matforms.rederive_euler_sum``, triangular leaves of its scaled integer
+  steps, with the tail (0, 0; 0, 1), which keeps its corner and prod_g.
 
 Of these, the value readers ``product_apply``, ``euler_partial_value``
 (which reads (d - s)/s) and ``rederive_euler_sum`` (homogeneous in corner
@@ -84,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .algebra import INF, Poly, QuadSurd, horner, is_inf, rat
+from .algebra import _BATCH, INF, Poly, QuadSurd, eval_range, is_inf, rat
 from .errors import InvalidInput
 
 
@@ -176,16 +181,17 @@ class CFSpec:
 
     def terms(self) -> Iterator[tuple]:
         """(b(i), a(i)) for i = 1, 2, ...: ints for integral terms (by
-        horner for an integral Poly), Fractions otherwise."""
-        b_int, a_int = (
-            s.numerators[::-1] if isinstance(s, Poly) and s.denominator == 1 else None
-            for s in (self.b, self.a)
-        )
+        algebra.eval_range when a and b are integral Polys), Fractions
+        otherwise."""
+        descs = _integral_descs(self)
+        if descs is not None:
+            for bs, as_ in zip(*(eval_range(desc, 1) for desc in descs)):
+                yield from zip(bs, as_)
+            return
         pos = 0
         while True:
             i = pos + 1
-            bi = _term(self.b, pos, i) if b_int is None else horner(b_int, i)
-            ai = _term(self.a, pos, i) if a_int is None else horner(a_int, i)
+            bi, ai = _term(self.b, pos, i), _term(self.a, pos, i)
             if bi is None or ai is None:
                 return
             yield (bi.numerator if bi.denominator == 1 else bi,
@@ -193,14 +199,16 @@ class CFSpec:
             pos += 1
 
 
+def _integral_descs(cf: CFSpec) -> tuple | None:
+    """The integer coefficients of b and a, highest power first (as
+    algebra.horner and eval_range take them), when both are Polys with
+    denominator 1; else None."""
+    if all(isinstance(s, Poly) and s.denominator == 1 for s in (cf.b, cf.a)):
+        return cf.b.numerators[::-1], cf.a.numerators[::-1]
+    return None
+
+
 _IDENTITY = (1, 0, 0, 1)
-
-
-def _companion_step(leaf: tuple, term: tuple) -> tuple:
-    """leaf * (0, b; 1, a) by the convergent recurrence."""
-    p_prev, p, q_prev, q = leaf
-    b, a = term
-    return (p, a * p + b * p_prev, q, a * q + b * q_prev)
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,8 @@ def convergents_from_terms(pairs: Iterable[tuple]) -> Iterator[ConvergentState]:
     """Stream convergent states from (b_i, a_i) pairs.
 
     State 1 is the identity; consuming term i moves state i to state i+1 by
-    _companion_step, p_next = a_i p + b_i p_prev (same for q).  A zero b_i
+    the convergent recurrence p_next = a_i p + b_i p_prev (same for q), the
+    companion step (0, b_i; 1, a_i) of _companion_leaves.  A zero b_i
     yields one final state flagged truncated, then the stream ends: the CF
     value cannot change past that point.
 
@@ -242,14 +251,15 @@ def convergents_from_terms(pairs: Iterable[tuple]) -> Iterator[ConvergentState]:
     gives integral terms; a Fraction term, even an integral one, makes
     them Fractions.
     """
-    m = _IDENTITY
-    yield ConvergentState(1, *m)
-    for n, term in enumerate(pairs, 2):
-        if term[0] == 0:
-            yield ConvergentState(n, *m, truncated=True)
+    p_prev, p, q_prev, q = _IDENTITY
+    yield ConvergentState(1, p_prev, p, q_prev, q)
+    for n, (b, a) in enumerate(pairs, 2):
+        if b == 0:
+            yield ConvergentState(n, p_prev, p, q_prev, q, truncated=True)
             return
-        m = _companion_step(m, term)
-        yield ConvergentState(n, *m)
+        p_prev, p = p, a * p + b * p_prev
+        q_prev, q = q, a * q + b * q_prev
+        yield ConvergentState(n, p_prev, p, q_prev, q)
 
 
 def convergents(cf: CFSpec) -> Iterator[ConvergentState]:
@@ -267,9 +277,10 @@ def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
     return L, CFSpec(b=cf.b * (L * L), a=cf.a * L)
 
 
-# Steps per leaf of a product tree; a leaf is multiplied by its caller's
-# plain recurrence, which costs fewer products than a 2x2 product.
-_LEAF = 16
+# Steps per leaf of a product tree; a leaf is multiplied out by a plain
+# recurrence (_companion_leaves, _triangular_leaves), which costs fewer
+# products than a 2x2 product.  algebra._BATCH is a multiple of it.
+_LEAF = 64
 
 # The tail that keeps the last column (p, q) of a state
 _LAST_COLUMN = (0, 0, 0, 1)
@@ -289,12 +300,12 @@ _STRIP_STOP_BITS = 64
 
 
 def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
-    """(left right, strip'): with `strip`, int entries and more than
+    """(left right, strip'): with `strip` (for int entries) and more than
     _STRIP_BITS bits in the product's d entry, the product divided by the
     gcd of its entries, and strip' false once that gcd has fewer than
     _STRIP_STOP_BITS bits."""
     m = _mat_mul(left, right)
-    if strip and all(type(x) is int for x in m) and m[3].bit_length() > _STRIP_BITS:
+    if strip and m[3].bit_length() > _STRIP_BITS:
         g = math.gcd(*m)
         strip = g.bit_length() >= _STRIP_STOP_BITS
         if g > 1:
@@ -302,19 +313,21 @@ def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
     return m, strip
 
 
-def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY, strip: bool = False) -> tuple:
-    """The product, left to right, of the step matrices of `steps`, times
-    `tail`, as a balanced tree of 2x2 blocks (a, b, c, d); with `strip`, that
+def _tree_product(leaves: Iterable, tail: tuple = _IDENTITY, strip: bool = False) -> tuple:
+    """The product, left to right, of the blocks (a, b, c, d) of `leaves`,
+    times `tail`, as a balanced tree; with `strip` (int entries only), that
     product divided by a positive integer.
 
-    Each leaf is _LEAF consecutive steps multiplied out from the identity by
-    leaf = step(leaf, s).  A full leaf is held back until another step
-    arrives, then pushed on a stack and merged while the two top entries are
-    products of equally many leaves (a binary counter).  The last leaf is
-    multiplied by `tail` and the stack is folded into it from the right, so
-    with a tail whose first column is zero every merge of the fold, the top
-    merge among them, costs 4 big products in place of 8 (a product with a
-    literal 0 returns at once).  No steps give the tail itself.
+    The leaves are products of _LEAF consecutive steps, the last one maybe
+    fewer, from _companion_leaves or _triangular_leaves.  Each leaf is held
+    back until the next one arrives, then pushed on a stack and merged while
+    the two top entries are products of equally many leaves (a binary
+    counter), so the large multiplications are between operands of equal
+    size and only O(log depth) blocks are held.  The last leaf is multiplied
+    by `tail` and the stack is folded into it from the right, so with a tail
+    whose first column is zero every merge of the fold, the top merge among
+    them, costs 4 big products in place of 8 (a product with a literal 0
+    returns at once).  No leaves give the tail itself.
 
     `strip` is for readers of a ratio of entries, which a positive scalar
     leaves unchanged.  Deep products of polynomial steps carry a large
@@ -336,44 +349,82 @@ def _tree_product(steps: Iterable, step, tail: tuple = _IDENTITY, strip: bool = 
     its bits, took 0.8-0.9 whatever the stop (16 to 256 bits).
     """
     stack = []  # (leaves, product, stripping), counts strictly decreasing up the stack
-    leaf, count = _IDENTITY, 0
-    for s in steps:
-        if count == _LEAF:
-            size, m, live = 1, leaf, strip
+    m = None
+    for leaf in leaves:
+        if m is not None:
+            size, live = 1, strip
             while stack and stack[-1][0] == size:
                 below, left, left_live = stack.pop()
                 size, (m, live) = size + below, _merge(left, m, live and left_live)
             stack.append((size, m, live))
-            leaf, count = _IDENTITY, 0
-        leaf, count = step(leaf, s), count + 1
-    m, live = _mat_mul(leaf, tail), strip
+        m = leaf
+    m, live = tail if m is None else _mat_mul(m, tail), strip
     while stack:
         _, left, left_live = stack.pop()
         m, live = _merge(left, m, live and left_live and bool(stack))
     return m
 
 
+def _companion_leaves(batches: Iterable) -> Iterator[tuple]:
+    """The products of each _LEAF consecutive companion steps (0, b; 1, a)
+    of the batches (bs, as), by the convergent recurrence, one loop per
+    leaf; a batch's last leaf may be short."""
+    for bs, as_ in batches:
+        for lo in range(0, len(bs), _LEAF):
+            hi = lo + _LEAF
+            p_prev, p, q_prev, q = _IDENTITY
+            for b, a in zip(bs[lo:hi], as_[lo:hi]):
+                p_prev, p = p, a * p + b * p_prev
+                q_prev, q = q, a * q + b * q_prev
+            yield p_prev, p, q_prev, q
+
+
+def _triangular_leaves(batches: Iterable) -> Iterator[tuple]:
+    """The products of each _LEAF consecutive upper triangular steps
+    (alpha, beta; 0, gamma) of the batches (alphas, betas, gammas), one
+    loop per leaf; a batch's last leaf may be short."""
+    for alphas, betas, gammas in batches:
+        for lo in range(0, len(alphas), _LEAF):
+            hi = lo + _LEAF
+            a, b, d = 1, 0, 1
+            for alpha, beta, gamma in zip(alphas[lo:hi], betas[lo:hi], gammas[lo:hi]):
+                a, b, d = a * alpha, a * beta + b * gamma, d * gamma
+            yield a, b, 0, d
+
+
 def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
     """(m, steps, truncated): the _tree_product of the companion steps of cf
-    times `tail`, stripped with `strip`.
+    times `tail`, stripped with `strip` when cf has integral Poly terms.
 
-    Exactly `depth` terms are read, fewer when a zero b truncates the CF.
+    Exactly `depth` terms are read, fewer when a zero b truncates the CF:
+    integral Polys in batches by eval_range, any other CF in chunks of
+    _BATCH terms as CFSpec.terms gives them.
     """
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
+    descs = _integral_descs(cf)
+    if descs is not None:
+        source = zip(*(eval_range(desc, 1, depth + 1) for desc in descs))
+    else:
+        strip = False  # its terms may be Fractions
+        terms = itertools.islice(cf.terms(), depth)
+        chunks = iter(lambda: list(itertools.islice(terms, _BATCH)), [])
+        source = (([b for b, _ in chunk], [a for _, a in chunk]) for chunk in chunks)
     steps = 0
     truncated = False
 
-    def terms():
+    def batches():
         nonlocal steps, truncated
-        for bi, ai in itertools.islice(cf.terms(), depth):
-            if bi == 0:
-                truncated = True
+        for bs, as_ in source:
+            if 0 in bs:
+                k = bs.index(0)
+                bs, as_, truncated = bs[:k], as_[:k], True
+            steps += len(bs)
+            yield bs, as_
+            if truncated:
                 return
-            steps += 1
-            yield bi, ai
 
-    m = _tree_product(terms(), _companion_step, tail, strip)
+    m = _tree_product(_companion_leaves(batches()), tail, strip)
     if steps < depth and not truncated:
         raise InvalidInput(
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"

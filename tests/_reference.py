@@ -268,7 +268,8 @@ def reference_cf_value(cf: CFSpec, depth: int):
 def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
     """numeric_limit on the stream of cf as given: checkpoints at depths 8,
     16, 32, ..., stop when two successive finite checkpoints differ by less
-    than eps; a truncated CF is exact with delta 0."""
+    than eps and the previous convergent is finite (q_prev != 0); a
+    truncated CF is exact with delta 0."""
     eps = rat(eps)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
@@ -289,7 +290,7 @@ def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitE
                 val = cf.head + v
                 if prev is not None:
                     last_delta = abs(val - prev)
-                    if last_delta < eps:
+                    if last_delta < eps and state.q_prev != 0:
                         return LimitEstimate(val, last_delta, depth, LimitEstimate.ESTIMATED)
                 prev = val
                 last_val = val

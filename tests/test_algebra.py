@@ -21,8 +21,11 @@ from polycf.algebra import (
     QuadSurd,
     RatFunc,
     assemble_factored,
+    eval_range,
     factor_int,
     factor_integer_rooted,
+    first_zero,
+    horner,
     parse_factored,
     parse_poly,
     poly_gcd,
@@ -32,7 +35,7 @@ from polycf.algebra import (
     squarefree_split,
     taylor_div,
 )
-from polycf.algebra import MAX_EXPONENT, _is_probable_prime, _pollard_rho
+from polycf.algebra import _BATCH, MAX_EXPONENT, _is_probable_prime, _pollard_rho
 from polycf.limits import numeric_limit
 from polycf.mobius import CFSpec, Mat2, constant_cf_limit
 from polycf import algebra
@@ -446,6 +449,57 @@ def test_poly_evaluation_matches_reference(a, b, i, v):
         # the reference composes a constant p to its Fraction coefficient;
         # Poly gives the constant Poly, as at every other degree
         assert same(got, RefPoly([want]))
+
+
+# -- the range evaluator against horner --------------------------------------
+
+# lengths on both sides of the short-range cut (6 (d + 1) values, at most 54
+# for degree 8) and of the first and second batch boundary
+_RANGE_LENGTHS = [0, 1, 2, 11, 12, 13, 53, 54, 55, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]
+
+
+def _range_values(desc, start, stop):
+    batches = list(eval_range(desc, start, stop))
+    assert all(0 < len(batch) <= _BATCH for batch in batches)
+    return [v for batch in batches for v in batch]
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_eval_range_matches_horner_at_every_index(degree):
+    rng = random.Random(degree)
+    for start in range(6):
+        for desc in ([rng.randint(-99, 99) or 1] + [rng.randint(-99, 99) for _ in range(degree)],
+                     [0] * degree + [rng.randint(-99, 99)]):
+            for length in _RANGE_LENGTHS:
+                got = _range_values(desc, start, start + length)
+                assert got == [horner(desc, i) for i in range(start, start + length)]
+            # with no end: full batches
+            unbounded = eval_range(desc, start)
+            for k in range(3):
+                want = [horner(desc, i) for i in range(start + k * _BATCH, start + (k + 1) * _BATCH)]
+                assert next(unbounded) == want
+
+
+@given(
+    st.lists(st.integers(-10**30, 10**30), max_size=9),
+    st.integers(0, 5),
+    st.one_of(st.integers(0, 60), st.sampled_from(_RANGE_LENGTHS)),
+)
+@example([], 0, 2 * _BATCH + 1)
+@example([0, 0, 0], 5, _BATCH)
+@settings(max_examples=150, deadline=None)
+def test_eval_range_and_first_zero_match_horner(desc, start, length):
+    want = [horner(desc, i) for i in range(start, start + length)]
+    assert _range_values(desc, start, start + length) == want
+    zeros = [start + k for k, v in enumerate(want) if v == 0]
+    assert first_zero(desc, start, start + length) == (zeros[0] if zeros else None)
+
+
+def test_first_zero_finds_a_root_on_a_batch_edge():
+    for root in (1, 2, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH):
+        desc = [1, -root - 1, root]  # (x - 1)(x - root)
+        assert first_zero(desc, 2, 3 * _BATCH) == (None if root < 2 else root)
+        assert first_zero(desc, 0, root + 1) == 1
 
 
 @given(coeff_lists(5))

@@ -543,6 +543,15 @@ def test_limit_failure_prints_no_partial_report():
     assert r.stdout == ""
 
 
+def test_limit_of_a_cf_without_a_limit_is_inconclusive():
+    # K n/0 alternates between a pole and 0: equal checkpoints next to a
+    # pole do not make an estimate
+    r = run_cli("limit", "--a", "0", "--b", "n", "--eps", "1/10", "--max-depth", "64")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines() == ["estimate: 0", "delta: 0", "depth: 64", "verdict: inconclusive"]
+
+
 def test_limit_closed_form_with_zero_b_is_finite():
     # b = 0 truncates the CF at its first term: the estimate is exact and
     # identify, which needs b != 0, is not asked

@@ -6,6 +6,7 @@ route (literal products, exact partial sums, or the numeric estimator with
 reference constants), so no identity is trusted on one derivation alone.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ def test_numeric_limit_inconclusive_when_capped():
     assert est.verdict == LimitEstimate.INCONCLUSIVE
     assert est.depth_used == 20
     assert est.last_delta is not None and est.last_delta > 0
+
+
+def test_numeric_limit_does_not_call_a_cf_without_a_limit_converged():
+    # K n/0: the convergents alternate between INF at odd depths and 0 at
+    # even ones, so every checkpoint reads 0 next to a pole (q_prev = 0)
+    cf = CFSpec(b=X, a=Poly.zero())
+    est = numeric_limit(cf, Fraction(1, 10), 64)
+    assert est == LimitEstimate(Fraction(0), Fraction(0), 64, LimitEstimate.INCONCLUSIVE)
+    assert est == reference_numeric_limit(cf, Fraction(1, 10), 64)
+    states = list(itertools.islice(convergents(cf), 65))
+    assert [s.q_prev == 0 for s in states[8::8]] == [True] * 8
 
 
 @settings(max_examples=100, deadline=None)

@@ -207,6 +207,18 @@ def test_cf_form_states_pole_and_depth_zero():
     ]
 
 
+def test_cf_form_states_raise_at_the_first_pole_of_either_entry():
+    # c = (n-2)(n-5) and det M = (n-2)(6-n): the CF form's b keeps only the
+    # pole at 5, its a has both, so the first pole, at 2, is a's
+    m = PolyMat2(X - 2, 1, (X - 2) * (X - 5), 1)
+    cfm, _, _ = to_cf_form(m)
+    assert [e.den for e in (cfm.b, cfm.d)] == [X - 5, (X - 2) * (X - 5)]
+    for n in (1, 2, 6):
+        assert states_or_pole(cf_form_states, m, n) == states_or_pole(reference_cf_form_states, m, n)
+    with pytest.raises(ZeroDivisionError, match="^matrix entry has a pole at index 2$"):
+        cf_form_states(m, 6)
+
+
 def test_cf_form_rejections():
     with pytest.raises(ZeroCEntry):
         to_cf_form(PolyMat2(X, 1, 0, X))

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from polycf import (
     CFLimit,
     CFSpec,
     DegenerateTerm,
+    EulerTriple,
     InvalidInput,
     Mat2,
+    PoleInFormula,
     Poly,
     QuadSurd,
     cf_value,
@@ -30,14 +33,15 @@ from polycf import (
     INF,
 )
 from polycf import mobius
+from polycf.algebra import _BATCH
 from polycf.mobius import (
     _EXACT_DIV_BITS,
     _IDENTITY,
     _LAST_COLUMN,
     _LEAF,
     _cleared,
+    _companion_leaves,
     _companion_product,
-    _companion_step,
     _eval_pair,
     _exact_div,
     _fraction,
@@ -350,24 +354,33 @@ def _companion_terms(count, seed):
     return [(rng.randint(-9, 9) or 1, rng.randint(-9, 9)) for _ in range(count)]
 
 
+def _leaves(terms):
+    """The tree's companion leaves of a list of (b, a) terms, read in
+    batches of _BATCH as the library reads them."""
+    batches = (terms[lo:lo + _BATCH] for lo in range(0, len(terms), _BATCH))
+    return _companion_leaves(([b for b, _ in batch], [a for _, a in batch]) for batch in batches)
+
+
 _TAILS = [(1, 0, 0, 1), _LAST_COLUMN, (0, 1, 0, 1), (0, 7, 0, -3), (0, 1, 0, 0)]
 
 
+# every count to 70, then one step either side of half a leaf and of 1 to
+# 16 whole leaves (the batch edges among them)
 @pytest.mark.parametrize(
     "count",
-    list(range(71)) + [_LEAF * 2**k + d for k in range(1, 6) for d in (-1, 1)],
+    list(range(71)) + [_LEAF * 2**k // 2 + d for k in range(6) for d in (-1, 1)],
 )
 def test_tree_product_times_tail(count):
     terms = _companion_terms(count, count)
-    full = _tree_product(terms, _companion_step)
-    assert full == _tree_product(terms, _companion_step, (1, 0, 0, 1))
+    full = _tree_product(_leaves(terms))
+    assert full == _tree_product(_leaves(terms), (1, 0, 0, 1))
     for tail in _TAILS:
-        assert _tree_product(terms, _companion_step, tail) == _mat_mul(full, tail)
+        assert _tree_product(_leaves(terms), tail) == _mat_mul(full, tail)
 
 
 @pytest.mark.parametrize("leaves", [2, 4, 8, 32])
 def test_top_merge_multiplies_a_zero_first_column(monkeypatch, leaves):
-    # for 16 2^k steps the largest product of the tree, the top merge, is
+    # for _LEAF 2^k steps the largest product of the tree, the top merge, is
     # the one with the tail folded in: half its entry products are by 0
     calls = []
 
@@ -380,11 +393,11 @@ def test_top_merge_multiplies_a_zero_first_column(monkeypatch, leaves):
 
     steps = [(-(i**6), 34 * i**3 + 51 * i**2 + 27 * i + 5) for i in range(1, _LEAF * leaves + 1)]
     monkeypatch.setattr(mobius, "_mat_mul", recording)
-    got = _tree_product(steps, _companion_step, _LAST_COLUMN)
+    got = _tree_product(_leaves(steps), _LAST_COLUMN)
     top_left, top_right = max(calls, key=lambda c: min(bits(c[0]), bits(c[1])))
     assert (top_right[0], top_right[2]) == (0, 0)
     assert bits(top_left) > bits(got) // 3
-    assert got == _mat_mul(_tree_product(steps, _companion_step), _LAST_COLUMN)
+    assert got == _mat_mul(_tree_product(_leaves(steps)), _LAST_COLUMN)
 
 
 # --- content stripping in the tree ---
@@ -456,8 +469,8 @@ def test_every_value_reader_strips_at_the_real_threshold(monkeypatch):
 
 def test_strip_removes_most_of_aperys_content():
     steps = list(itertools.islice(APERY.terms(), 4096))
-    raw = _tree_product(steps, _companion_step, _LAST_COLUMN)
-    stripped = _tree_product(steps, _companion_step, _LAST_COLUMN, strip=True)
+    raw = _tree_product(_leaves(steps), _LAST_COLUMN)
+    stripped = _tree_product(_leaves(steps), _LAST_COLUMN, strip=True)
     assert raw[1] * stripped[3] == raw[3] * stripped[1]
     assert raw[3] % stripped[3] == 0 and raw[3] // stripped[3] > 0
     assert max(abs(x).bit_length() for x in stripped) < max(abs(x).bit_length() for x in raw) // 2
@@ -484,6 +497,137 @@ def test_raw_readers_keep_the_unstripped_product():
     want = reference_state_at(APERY, depth)
     assert _eval_pair(APERY, depth) == (want.p, want.q)
     assert (p, q) == (want.p, want.q)
+
+
+# --- leaf and batch edges ---
+
+# depths _LEAF 2^k +- 1, and around one and two batches of coefficients
+_EDGE_DEPTHS = sorted(
+    {_LEAF * 2**k + d for k in range(4) for d in (-1, 1)}
+    | {m * _BATCH + d for m in (1, 2) for d in (-1, 0, 1)}
+)
+# the first and last index of a leaf and of a batch
+_EDGE_INDICES = [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH]
+X = Poly.x()
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_cfs(), st.sampled_from(_EDGE_DEPTHS))
+def test_cf_value_and_product_apply_match_the_stream_at_leaf_and_batch_edges(cf, depth):
+    want = reference_state_at(cf, depth)
+    assert cf_value(cf, depth) == reference_cf_value(cf, depth)
+    for z in (Fraction(0), INF, Fraction(1, 3)):
+        assert product_apply(cf, depth, z) == reference_apply(want.as_matrix(), z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(euler_triples(), st.sampled_from(_EDGE_DEPTHS))
+def test_euler_routes_match_their_fraction_passes_at_leaf_and_batch_edges(t, n):
+    assert outcome(euler_partial_value, t, n) == outcome(reference_euler_partial_value, t, n)
+    got = outcome(rederive_euler_sum, t.h1, t.h2, n + 1)
+    assert got == outcome(reference_rederive_euler_sum, t.h1, t.h2, n + 1)
+
+
+def _routes_agree_with_the_reference(t, n):
+    cf = CFSpec(b=t.b, a=t.a)
+    assert outcome(cf_value, cf, n) == outcome(reference_cf_value, cf, n)
+    want = reference_state_at(cf, n)
+    assert product_apply(cf, n, Fraction(1, 3)) == reference_apply(want.as_matrix(), Fraction(1, 3))
+    assert outcome(euler_partial_value, t, n) == outcome(reference_euler_partial_value, t, n)
+    got = outcome(rederive_euler_sum, t.h1, t.h2, n + 1)
+    assert got == outcome(reference_rederive_euler_sum, t.h1, t.h2, n + 1)
+
+
+@pytest.mark.parametrize("at", _EDGE_INDICES)
+def test_a_zero_b_on_a_leaf_or_batch_edge(at):
+    # h1 vanishes at `at`: b(at) = 0 truncates the CF, and the summand
+    # ratio, the triangular step's alpha and beta vanish there
+    t = trivial_triple((X - at) * (X + Fraction(1, 3)), X + Fraction(1, 2))
+    for n in (at - 1, at, at + 1):
+        _routes_agree_with_the_reference(t, n)
+
+
+@pytest.mark.parametrize("at", [0, *_EDGE_INDICES, 2 * _BATCH + 1])
+def test_an_f_pole_on_a_leaf_or_batch_edge(at):
+    # f(at) = 0; euler_partial_value reads f at 0..n+1 and the ratio of
+    # step k at f(k + 1), so a pole at k + 1 sits on step k's index
+    f = X - at
+    t = EulerTriple(X * f, (X + Fraction(1, 2)) * f.shift(-1), f)
+    for n in (max(at - 2, 0), max(at - 1, 0), at + 1):
+        _routes_agree_with_the_reference(t, n)
+    with pytest.raises(PoleInFormula, match=f"^f vanishes at k = {at}$"):
+        euler_partial_value(t, at + 1)
+
+
+@pytest.mark.parametrize("at", [*_EDGE_INDICES, 2 * _BATCH + 1])
+def test_an_h2_pole_on_a_leaf_or_batch_edge(at):
+    t = trivial_triple(X + Fraction(1, 3), (X - at) * (X + Fraction(1, 2)))
+    for n in (max(at - 2, 0), at - 1, at + 1):
+        _routes_agree_with_the_reference(t, n)
+    for read in (lambda: euler_partial_value(t, at), lambda: rederive_euler_sum(t.h1, t.h2, at + 1)):
+        with pytest.raises(PoleInFormula, match=f"^h2 vanishes at k = {at}$"):
+            read()
+
+
+def test_the_first_f_pole_comes_before_any_h2_pole():
+    # f vanishes at 300, h2 at 5 and 301: euler_partial_value checks every
+    # f(k), k = 0..n+1, before any h2(k), so the pole at 300 is the one
+    # raised once n + 1 reaches it, and the one at 5 before that;
+    # rederive_euler_sum reads h2 alone
+    f = X - 300
+    t = EulerTriple(X * f, (X - 5) * f.shift(-1), f)
+    for n, k, what in ((298, 5, "h2"), (299, 300, "f"), (2 * _BATCH, 300, "f")):
+        assert outcome(euler_partial_value, t, n) == (PoleInFormula, f"{what} vanishes at k = {k}")
+        assert outcome(euler_partial_value, t, n) == outcome(reference_euler_partial_value, t, n)
+        got = outcome(rederive_euler_sum, t.h1, t.h2, n + 1)
+        assert got == outcome(reference_rederive_euler_sum, t.h1, t.h2, n + 1)
+        assert got == (PoleInFormula, "h2 vanishes at k = 5")
+
+
+@pytest.mark.parametrize("length", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_an_explicit_sequence_runs_out_across_a_batch(length):
+    cf = CFSpec(b=[Fraction(1, 2)] * length, a=list(range(1, length + 1)))
+    assert cf_value(cf, length) == reference_cf_value(cf, length)
+    for depth in (length + 1, length + _BATCH):
+        want = f"coefficient sequence exhausted after {length} terms, needed {depth}"
+        assert outcome(cf_value, cf, depth) == outcome(reference_cf_value, cf, depth) == (InvalidInput, want)
+
+
+def _python_calls(fn) -> int:
+    """The "call" events of sys.setprofile while fn runs: one per Python
+    function call and per generator resume, none for C functions."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_deep_routes_make_no_python_call_per_term():
+    # a call per term (a step function, a generator or a horner per index)
+    # gives 1 or more events per term; the batched leaves give a few per
+    # leaf and per batch
+    depth = 2048
+    t = trivial_triple(parse_poly("n"), parse_poly("n+1/2"))
+    f = X * X + X + Fraction(1, 2)
+    cubic = EulerTriple(X**3, X**3, f)
+    for route in (
+        lambda: cf_value(CFSpec(b=t.b, a=t.a), depth),
+        lambda: euler_partial_value(t, depth),
+        lambda: rederive_euler_sum(t.h1, t.h2, depth + 1),
+        lambda: cf_value(CFSpec(b=cubic.b, a=cubic.a), depth),
+        lambda: euler_partial_value(cubic, depth),
+    ):
+        route()
+        assert _python_calls(route) <= depth // 2
 
 
 def _exact_div_cases():
