@@ -405,17 +405,12 @@ def eval_range(desc, start: int, stop: int | None = None) -> Iterator[list]:
     D^j H(i + k) is D^j H(i) plus the sum of D^(j+1) H(i + m) for m < k, so
     one itertools.accumulate per lower order builds a batch from the top
     order down, with no Python call per value; its last sum is D^j H at the
-    next batch.  A range of fewer than 6 (d + 1) values, where setting up
-    the table costs more than it saves, is read by horner.
+    next batch.
 
     >>> list(eval_range((34, 51, 27, 5), 0, 4))
     [[5, 117, 535, 1463]]
     """
     d = max(len(desc) - 1, 0)
-    if stop is not None and stop - start < 6 * (d + 1):
-        if stop > start:
-            yield [horner(desc, i) for i in range(start, stop)]
-        return
     # D^j H at the first index of the next batch, from H(start..start+d)
     diffs = [horner(desc, start + k) for k in range(d + 1)]
     for j in range(1, d + 1):

@@ -196,32 +196,20 @@ def euler_partial_value(t: EulerTriple, n: int):
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     f, h2 = t.f.numerators[::-1], t.h2.numerators[::-1]  # F and H2
+    for name, desc, start in (("f", f, 0), ("h2", h2, 1)):
+        k = first_zero(desc, start, n + 2)
+        if k is not None:
+            raise PoleInFormula(k, name)
     D2 = t.h2.denominator
-
-    def raise_first_pole():
-        for name, desc, start in (("f", f, 0), ("h2", h2, 1)):
-            k = first_zero(desc, start, n + 2)
-            if k is not None:
-                raise PoleInFormula(k, name)
-
-    f0, f1, h2_1 = horner(f, 0), horner(f, 1), horner(h2, 1)
-    if 0 in (f0, f1, h2_1):
-        raise_first_pole()
     # P(x) = F(x-1) H1(x) D2 and Q(x) = F(x) H2(x) D1, as c f(x-1) h1(x)
-    # and c f(x) h2(x) for c = Df D1 D2
+    # and c f(x) h2(x) for c = Df D1 D2; step k is (p, q; 0, q) with
+    # p = P(k) and q = Q(k + 1), k = 1..n
     c = t.f.denominator * t.h1.denominator * D2
     P, Q = scaled_desc(t.f.shift(-1) * t.h1, c), scaled_desc(t.f * t.h2, c)
-
-    def batches():
-        # p(k) = P(k), q(k) = Q(k + 1) for k = 1..n; q is 0 only at a pole
-        for ps, qs in zip(eval_range(P, 1, n + 1), eval_range(Q, 2, n + 2)):
-            if 0 in qs:
-                raise_first_pole()
-            yield ps, qs, qs
-
+    batches = ((ps, qs, qs) for ps, qs in zip(eval_range(P, 1, n + 1), eval_range(Q, 2, n + 2)))
     # [A(1) ... A(n)] = (a, b; 0, d), so S = (a + b)/d; the tail (0, 1; 0, 1)
     # gives the column (a + b, d) alone
-    _, s, _, d = _tree_product(_triangular_leaves(batches()), (0, 1, 0, 1), strip=True)
+    _, s, _, d = _tree_product(_triangular_leaves(batches), (0, 1, 0, 1), strip=True)
     if s == 0:
         return INF
-    return _fraction(f1 * h2_1 * (d - s), f0 * D2 * s)
+    return _fraction(horner(f, 1) * horner(h2, 1) * (d - s), horner(f, 0) * D2 * s)

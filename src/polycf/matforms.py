@@ -247,15 +247,9 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     if n < 1:
         raise InvalidInput("n must be at least 1")
     h2_desc = h2.numerators[::-1]  # H2
-
-    def raise_first_pole():
-        k = first_zero(h2_desc, 1, n + 1)
-        if k is not None:
-            raise PoleInFormula(k, "h2")
-
-    H = horner(h2_desc, 1)
-    if H == 0:
-        raise PoleInFormula(1, "h2")
+    k = first_zero(h2_desc, 1, n + 1)
+    if k is not None:
+        raise PoleInFormula(k, "h2")
     # the entries of the scaled step D1 D2 H2(x+1) T(x) (see the module
     # docstring), as c h1(x) h2(x+1), -c h1(x) and c h2(x) h2(x+1) for
     # c = D1 D2^2, each read at i = 1..n-1
@@ -263,18 +257,11 @@ def rederive_euler_sum(h1: Poly, h2: Poly, n: int):
     c = h1.denominator * D2 * D2
     h2_next = h2.shift(1)
     descs = [scaled_desc(e, s) for e, s in ((h1 * h2_next, c), (h1, -c), (h2 * h2_next, c))]
-
-    def batches():
-        for alphas, betas, gammas in zip(*(eval_range(desc, 1, n) for desc in descs)):
-            # gamma(i) = H2(i) H2(i+1) D1 is 0 only at a pole
-            if 0 in gammas:
-                raise_first_pole()
-            yield alphas, betas, gammas
-
-    leaves = _triangular_leaves(batches())
+    leaves = _triangular_leaves(zip(*(eval_range(desc, 1, n) for desc in descs)))
     _, corner, _, prod_g = _tree_product(leaves, _LAST_COLUMN, strip=True)
     # U(1)^{-1} = (h, 0; -1, 1/h), h = H/D2 = h2(1), maps z = corner/prod_g
     # to h z/(1/h - z) = H^2 corner/(D2 (D2 prod_g - H corner))
+    H = horner(h2_desc, 1)
     den = D2 * (D2 * prod_g - H * corner)
     if den == 0:
         return INF

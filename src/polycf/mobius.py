@@ -300,12 +300,13 @@ _STRIP_STOP_BITS = 64
 
 
 def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
-    """(left right, strip'): with `strip` (for int entries) and more than
-    _STRIP_BITS bits in the product's d entry, the product divided by the
-    gcd of its entries, and strip' false once that gcd has fewer than
-    _STRIP_STOP_BITS bits."""
+    """(left right, strip'): with `strip`, more than _STRIP_BITS bits in the
+    product's d entry and int entries, the product divided by the gcd of its
+    entries, and strip' false once that gcd has fewer than _STRIP_STOP_BITS
+    bits."""
     m = _mat_mul(left, right)
-    if strip and m[3].bit_length() > _STRIP_BITS:
+    if (strip and type(m[3]) is int and m[3].bit_length() > _STRIP_BITS
+            and all(type(x) is int for x in m)):
         g = math.gcd(*m)
         strip = g.bit_length() >= _STRIP_STOP_BITS
         if g > 1:
@@ -315,8 +316,8 @@ def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
 
 def _tree_product(leaves: Iterable, tail: tuple = _IDENTITY, strip: bool = False) -> tuple:
     """The product, left to right, of the blocks (a, b, c, d) of `leaves`,
-    times `tail`, as a balanced tree; with `strip` (int entries only), that
-    product divided by a positive integer.
+    times `tail`, as a balanced tree; with `strip`, that product divided by
+    a positive integer (a block with a Fraction entry is never divided).
 
     The leaves are products of _LEAF consecutive steps, the last one maybe
     fewer, from _companion_leaves or _triangular_leaves.  Each leaf is held
@@ -394,11 +395,10 @@ def _triangular_leaves(batches: Iterable) -> Iterator[tuple]:
 
 def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
     """(m, steps, truncated): the _tree_product of the companion steps of cf
-    times `tail`, stripped with `strip` when cf has integral Poly terms.
+    times `tail`, stripped with `strip`.
 
     Exactly `depth` terms are read, fewer when a zero b truncates the CF:
-    integral Polys in batches by eval_range, any other CF in chunks of
-    _BATCH terms as CFSpec.terms gives them.
+    integral Polys in batches by eval_range, any other CF by _term_chunks.
     """
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
@@ -406,10 +406,7 @@ def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tupl
     if descs is not None:
         source = zip(*(eval_range(desc, 1, depth + 1) for desc in descs))
     else:
-        strip = False  # its terms may be Fractions
-        terms = itertools.islice(cf.terms(), depth)
-        chunks = iter(lambda: list(itertools.islice(terms, _BATCH)), [])
-        source = (([b for b, _ in chunk], [a for _, a in chunk]) for chunk in chunks)
+        source = _term_chunks(itertools.islice(cf.terms(), depth))
     steps = 0
     truncated = False
 
@@ -430,6 +427,23 @@ def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tupl
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"
         )
     return m, steps, truncated
+
+
+def _term_chunks(terms: Iterator[tuple]) -> Iterator[tuple]:
+    """The (b, a) pairs of `terms` as (bs, as) lists of at most _BATCH
+    terms; a zero b ends its chunk and the chunks, and no term past it is
+    read, as the stream reads none."""
+    bs, as_ = [], []
+    for b, a in terms:
+        bs.append(b)
+        as_.append(a)
+        if b == 0:
+            break
+        if len(bs) == _BATCH:
+            yield bs, as_
+            bs, as_ = [], []
+    if bs:
+        yield bs, as_
 
 
 # Exact division beats // once the divisor has this many bits and at least

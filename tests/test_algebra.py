@@ -453,8 +453,9 @@ def test_poly_evaluation_matches_reference(a, b, i, v):
 
 # -- the range evaluator against horner --------------------------------------
 
-# lengths on both sides of the short-range cut (6 (d + 1) values, at most 54
-# for degree 8) and of the first and second batch boundary
+# lengths shorter and longer than the difference table (d + 1 values, at
+# most 9) and than a few tables, and on both sides of the first and second
+# batch boundary
 _RANGE_LENGTHS = [0, 1, 2, 11, 12, 13, 53, 54, 55, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]
 
 

@@ -26,6 +26,7 @@ from polycf import (
     convergents,
     convergents_from_terms,
     euler_partial_value,
+    euler_sum_to_cf,
     parse_poly,
     product_apply,
     rederive_euler_sum,
@@ -290,6 +291,45 @@ def test_callable_degenerate_term_raises_at_the_same_term():
         assert got == _outcome(lambda: _fields(reference_state_at(stream, depth)))
         assert (got is DegenerateTerm) == (depth >= 20)
         assert tree_calls == stream_calls == list(range(1, min(depth, 20) + 1))
+
+
+def test_a_cf_is_not_read_past_a_zero_b():
+    # b(3) = 0 truncates the CF and b(5) raises: the stream reads terms 1 to
+    # 3 and stops, and so must every reader of the tree, whose chunks of a
+    # callable CF hold up to _BATCH terms
+    def b_at(calls):
+        def b(i):
+            calls.append(i)
+            if i == 5:
+                raise DegenerateTerm(i)
+            return 0 if i == 3 else i
+        return b
+
+    for depth in (2, 3, 4, 10, _BATCH + 1):
+        reads = {}
+        for name, read in (
+            ("stream", lambda cf: _fields(reference_state_at(cf, depth))),
+            ("tree", lambda cf: _scaled_back(cf, depth)),
+            ("value", lambda cf: cf_value(cf, depth)),
+            ("apply", lambda cf: product_apply(cf, depth, Fraction(1, 3))),
+        ):
+            calls = reads[name] = []
+            read(CFSpec(b=b_at(calls), a=Poly.x()))
+        assert all(calls == list(range(1, min(depth, 3) + 1)) for calls in reads.values())
+    # the same through euler_sum_to_cf: r(2) = 0 zeroes b(2), r(5) = -1
+    # raises DegenerateTerm(5) when it is read
+    cf = euler_sum_to_cf(parse_poly("-1/3n+2/3"))
+    assert cf_value(cf, 10) == reference_cf_value(cf, 10) == reference_cf_value(cf, 2)
+
+
+def test_a_deep_callable_cf_with_int_terms_is_stripped(monkeypatch):
+    # a callable reaches the tree in chunks of ints, which it strips as it
+    # strips the same CF given by Polys
+    apery = CFSpec(b=lambda i: -(i**6), a=lambda i: 34 * i**3 + 51 * i**2 + 27 * i + 5)
+    want = cf_value(APERY, 2048)
+    with _tree_gcds(monkeypatch) as gcds:
+        assert cf_value(apery, 2048) == want
+    assert any(g.bit_length() >= mobius._STRIP_STOP_BITS for g in gcds)
 
 
 def test_integral_poly_terms_are_ints():
