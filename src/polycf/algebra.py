@@ -200,17 +200,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return m, d
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of q if it is the square of a rational, else None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 class _Exact:
     """`-` both ways, `==` and hash for QuadSurd, Poly and RatFunc, from each
     type's ``_coerce`` (an operand of the type, or None), ``+``, unary ``-``

@@ -10,8 +10,9 @@ be split between h1 and h2, pins the two leading coefficients from the
 leading coefficients of a and b, bounds deg f by a three-term degree
 analysis, and then solves for f by reducing the images of the powers of x
 under f -> f a - f(x-1) h1 - f(x+1) h2(x+1) by degree (:func:`solve_f`).
-Everything is exact; every returned triple is re-verified against (a, b)
-before it is reported.
+These steps read each Poly's stored ints, with no Fraction or Poly per
+image.  Everything is exact; every returned triple is re-verified against
+(a, b) before it is reported.
 
 The splits are prefix products: each split (h1, h2) of the blocks so far is
 extended by (p^e, p^(m-e)) for every e in 0..m and the next block p^m, from
@@ -28,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import (
     Poly,
     assemble_factored,
     factor_integer_rooted,
-    rational_sqrt,
 )
 from .errors import InvalidInput
 from .euler import EulerTriple, build_euler_cf
@@ -48,6 +49,12 @@ REASON_F_BUDGET = "f degree above the search budget"
 # make a candidate degree astronomical (about the root itself); such a degree
 # is skipped and reported with REASON_F_BUDGET, so identify always ends.
 MAX_F_DEGREE = 1000
+
+
+def _exact_isqrt(n: int) -> int | None:
+    """The square root of n if n is the square of an integer, else None."""
+    r = math.isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
 
 
 def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
@@ -81,8 +88,8 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
     a1, g1, g2 = at(ca, d - 1), at(c1, d - 1), at(c2, d - 1)
 
     def keep(num: int, den: int) -> set[int]:
-        x = Fraction(num, den)
-        return {int(x)} if x.denominator == 1 and x >= 0 else set()
+        q, r = divmod(num, den)
+        return {q} if not r and q >= 0 else set()
 
     if d1 == d and da == d and d2 < d:
         # h1 carries the lead of a
@@ -107,15 +114,10 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
     qa = -u
     qb = (g1 - g2 - d * v) + u
     qc = a2 - f1 - shift2
-    out: set[int] = set()
-    disc = qb * qb - 4 * qa * qc
-    sq = rational_sqrt(Fraction(disc))
+    sq = _exact_isqrt(qb * qb - 4 * qa * qc)
     if sq is None:
-        return out
-    for root in {(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)}:
-        if root.denominator == 1 and root >= 0:
-            out.add(int(root))
-    return out
+        return set()
+    return keep(-qb + sq, 2 * qa) | keep(-qb - sq, 2 * qa)
 
 
 def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
@@ -130,32 +132,33 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
         raise InvalidInput("a and b must be nonzero")
     d1, d2 = degree_pattern
     da = a.degree
-    A, B = a.lead, b.lead
-    if d1 > d2:
-        if da != d1:
+    # the leads A = an/ad and B = bn/bd, from the stored ints (ad, bd > 0)
+    an, ad, bn, bd = a.numerators[-1], a.denominator, b.numerators[-1], b.denominator
+    if d1 != d2:
+        if da != max(d1, d2):
             return [], REASON_PATTERN
-        return [(A, -B / A)], None
-    if d2 > d1:
-        if da != d2:
-            return [], REASON_PATTERN
-        return [(-B / A, A)], None
+        A, c = Fraction(an, ad), Fraction(-bn * ad, bd * an)  # c = -B/A
+        return [(A, c) if d1 > d2 else (c, A)], None
     # equal target degrees
     if da > d1:
         return [], REASON_PATTERN
     if da < d1:
-        # c1 = -c2, c1^2 = B
-        s = rational_sqrt(B)
-        if s is None:
+        # c1 = -c2, c1^2 = B = bn*bd / bd^2
+        r = _exact_isqrt(bn * bd)
+        if r is None:
             return [], REASON_IRRATIONAL
+        s = Fraction(r, bd)
         return [(s, -s), (-s, s)], None
-    # da == d1 == d2: c1, c2 are the roots of t^2 - A t - B
-    disc = A * A + 4 * B
-    sq = rational_sqrt(disc)
-    if sq is None:
+    # da == d1 == d2: c1, c2 are the roots (A +- sqrt(D/E))/2 of t^2 - A t - B,
+    # D/E = A^2 + 4B; sqrt(D/E) = r/E
+    E = ad * ad * bd
+    r = _exact_isqrt((an * an * bd + 4 * bn * ad * ad) * E)
+    if r is None:
         return [], REASON_IRRATIONAL
     # the roots multiply to -B != 0, so neither is zero
-    r1, r2 = (A + sq) / 2, (A - sq) / 2
-    if r1 == r2:
+    m = an * ad * bd
+    r1, r2 = Fraction(m + r, 2 * E), Fraction(m - r, 2 * E)
+    if r == 0:
         return [(r1, r2)], None
     return [(r1, r2), (r2, r1)], None
 
@@ -172,29 +175,52 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     solution.  The last g found is returned, which is the kernel vector of
     the highest free column in reduced row echelon form, so solutions with
     f.coeff(d_f) != 0 are preferred.  Outside one or two indicial roots the
-    images have distinct degrees and are held at once.  The returned
-    polynomial always satisfies the relation exactly.
+    images have distinct degrees and are held at once.
+
+    The images are integer vectors, over the lcm of the denominators of a,
+    h1 and h2(x+1), and a step is lead(held) image - lead(image) held, on g
+    too, with the pair's content divided out: nonzero multiples of the
+    rational vectors, so the monic f is the same.  The returned polynomial
+    always satisfies the relation exactly.
     """
     h2s = h2.shift(1)
-    x, xm1, xp1 = Poly.x(), Poly((-1, 1)), Poly((1, 1))
-    # held[degree] = (L(g), g) for each reduced image kept so far
-    held: dict[int, tuple[Poly, Poly]] = {}
+    den = math.lcm(a.denominator, h1.denominator, h2s.denominator)
+    # a, P = (x-1)^i h1 and Q = (x+1)^i h2(x+1), times den
+    A, P, Q = ([c * (den // p.denominator) for c in p.numerators] for p in (a, h1, h2s))
+    # held[degree] = (image, g), each a multiple of (L(g), g)
+    held: dict[int, tuple[list, list]] = {}
     f = None
-    # running powers x^i, (x-1)^i, (x+1)^i
-    xi = xmi = xpi = Poly.one()
-    for _ in range(d_f + 1):
-        image, g = xi * a - xmi * h1 - xpi * h2s, xi
-        while not image.is_zero and image.degree in held:
-            him, hg = held[image.degree]
-            c = image.lead / him.lead
-            image, g = image - him * c, g - hg * c
-        if image.is_zero:
-            f = g
+    for i in range(d_f + 1):
+        image = [u - v - w for u, v, w in zip_longest([0] * i + A, P, Q, fillvalue=0)]
+        g = [0] * i + [1]
+        while image and not image[-1]:
+            image.pop()
+        while image and len(image) - 1 in held:
+            him, hg = held[len(image) - 1]
+            u, v = him[-1], image[-1]
+            k = math.gcd(u, v)
+            u, v = u // k, v // k
+            image = [u * c - v * e for c, e in zip(image, him)]
+            g = [u * c - v * e for c, e in zip_longest(g, hg, fillvalue=0)]
+            while image and not image[-1]:
+                image.pop()
+            # the content divides g's top entry, the scale of x^i: there is
+            # none when that is +-1, and the gcd is cheap started from it
+            if abs(g[-1]) != 1:
+                k = math.gcd(g[-1], *image, *g)
+                if k != 1:
+                    image, g = [c // k for c in image], [c // k for c in g]
+        if image:
+            held[len(image) - 1] = image, g
         else:
-            held[image.degree] = image, g
-        xi, xmi, xpi = xi * x, xmi * xm1, xpi * xp1
+            f = g
+        P = [u - v for u, v in zip([0] + P, P + [0])]
+        Q = [u + v for u, v in zip([0] + Q, Q + [0])]
     if f is None:
         return None
+    # g's top entry, at x^i, is the nonzero scale of x^i + (lower powers)
+    lead = f[-1]
+    f = Poly._make(f if lead > 0 else [-c for c in f], abs(lead))
     # exact verification, cheap and non-negotiable
     check = f * a - f.shift(-1) * h1 - f.shift(1) * h2s
     if not check.is_zero:
@@ -240,9 +266,7 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
     """Search one monic decomposition; returns (solutions, rejections)."""
     sols: list[EulerTriple] = []
     rejs: list[Rejection] = []
-    d1 = h1m.degree
-    d2 = h2m.degree
-    pairs, reason = leading_coeff_split(a, b, (d1, d2))
+    pairs, reason = leading_coeff_split(a, b, (h1m.degree, h2m.degree))
     if reason is not None:
         rejs.append(Rejection(h1m, h2m, reason))
         return sols, rejs

@@ -42,6 +42,7 @@ denominator.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,13 +54,23 @@ from polycf.algebra import (
     is_inf,
     rat,
     rational_roots,
-    rational_sqrt,
     taylor_div,
 )
 from polycf.errors import InvalidInput, PoleInFormula, PolycfError
 from polycf.limits import LimitEstimate, ZetaCombo, telescoped_summand
 from polycf.matforms import to_cf_form
 from polycf.mobius import CFSpec, ConvergentState, Mat2
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """Exact square root of q if it is the square of a rational, else None."""
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -691,3 +702,23 @@ def outcome(fn, *args):
     except (PolycfError, ValueError) as exc:
         return type(exc), str(exc)
     return type(v), v
+
+
+def python_calls(fn) -> int:
+    """The "call" events of sys.setprofile while fn runs: one per Python
+    function call and per generator resume, none for C functions.  Not an
+    oracle: the measure of the guards against a Python call per term or per
+    image."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -30,7 +30,6 @@ from polycf.algebra import (
     parse_poly,
     poly_gcd,
     rational_roots,
-    rational_sqrt,
     rat,
     squarefree_split,
     taylor_div,
@@ -371,7 +370,7 @@ def test_assemble_factored_round_trip():
 
 # -- the integer-coefficient Poly against the Fraction reference ------------
 
-from _reference import RefPoly  # noqa: E402
+from _reference import RefPoly, rational_sqrt  # noqa: E402
 from _strategies import coeff_lists, small_fractions  # noqa: E402
 
 scalars = st.one_of(st.integers(-30, 30), small_fractions)

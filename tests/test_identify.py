@@ -8,14 +8,16 @@ and the search must rediscover them and label every decomposition it gives
 up on.
 """
 
+import importlib
 import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polycf import (
@@ -42,6 +44,7 @@ from polycf.identify import (
 
 from _reference import (
     BetaTriple,
+    python_calls,
     reference_solve_f,
     reference_splits,
     split_key,
@@ -188,6 +191,22 @@ def test_leading_coeff_split_cases():
     assert pairs == [] and reason == REASON_IRRATIONAL
     pairs, reason = leading_coeff_split(a, -X, (2, 0))
     assert pairs == [] and reason == REASON_PATTERN
+    # rational leads, a = -2n/3 + 1
+    h = Fraction(3, 2)
+    assert leading_coeff_split(ONE, X * X * Fraction(9, 4), (1, 1)) == ([(h, -h), (-h, h)], None)
+    assert leading_coeff_split(ONE, X * X / 8, (1, 1)) == ([], REASON_IRRATIONAL)
+    a = 1 - 2 * X / 3
+    c = Fraction(27, 8)  # -B/A
+    assert leading_coeff_split(a, X * X * Fraction(9, 4), (1, 0)) == ([(Fraction(-2, 3), c)], None)
+    assert leading_coeff_split(a, X * X * Fraction(9, 4), (0, 1)) == ([(c, Fraction(-2, 3))], None)
+    # roots of t^2 + 2t/3 - 1/3 (B = 1/3): 1/3 and -1, both orders; B = 1/12
+    # leaves the discriminant 7/9
+    r1, r2 = Fraction(1, 3), Fraction(-1)
+    assert leading_coeff_split(a, X / 3, (1, 1)) == ([(r1, r2), (r2, r1)], None)
+    assert leading_coeff_split(a, X / 12, (1, 1)) == ([], REASON_IRRATIONAL)
+    # a double root: B = -A^2/4 = -1/9 gives c1 = c2 = -1/3, listed once
+    third = Fraction(-1, 3)
+    assert leading_coeff_split(a, -X / 9, (1, 1)) == ([(third, third)], None)
 
 
 def test_solve_f_known_kernel():
@@ -390,17 +409,28 @@ def test_rejected_inputs():
 
 
 @st.composite
+def small_rational_poly(draw, max_degree=3):
+    """Like small_poly, with each coefficient over 1, 2 or 3."""
+    deg = draw(st.integers(min_value=0, max_value=max_degree))
+    nums = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(deg)]
+    nums.append(draw(st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)))
+    return Poly([Fraction(c, draw(st.sampled_from([1, 2, 3]))) for c in nums])
+
+
+@st.composite
 def solve_f_cases(draw):
     """(a, h1, h2, d_f) around a planted triple h1 = g1 f, h2 = g2 f(x-1):
     half the time g1 and g2 share degree and lead, so the degree quadratic
     can admit two roots; a is the planted one or a + 1, and d_f runs up to
-    three above the candidate degrees and deg f."""
-    f = draw(small_poly())
-    g1 = draw(small_poly(max_degree=2))
+    three above the candidate degrees and deg f.  Half the time the
+    coefficients are over 2 and 3 as well as 1.  Leads of either sign."""
+    poly = small_rational_poly if draw(st.booleans()) else small_poly
+    f = draw(poly())
+    g1 = draw(poly(max_degree=2))
     if draw(st.booleans()):
         g2 = g1 + Poly(draw(st.lists(st.integers(-4, 4), max_size=g1.degree)))
     else:
-        g2 = draw(small_poly(max_degree=2))
+        g2 = draw(poly(max_degree=2))
     h1, h2 = g1 * f, g2 * f.shift(-1)
     a = build_euler_cf(EulerTriple(h1, h2, f))[0]
     if draw(st.booleans()):
@@ -412,6 +442,14 @@ def solve_f_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(solve_f_cases())
+# h1 = -(n/2) f, h2 = (2n/3) f(x-1) with f = n^2 - n/3 + 1/2, and a: leads of
+# both signs and denominators 2 to 36, cleared by their lcm
+@example((
+    parse_poly("1/6*n^3 + 53/18*n^2 + 35/36*n + 7/9"),
+    parse_poly("-1/2*n^3 + 1/6*n^2 - 1/4*n"),
+    parse_poly("2/3*n^3 - 14/9*n^2 + 11/9*n"),
+    4,
+))
 def test_solve_f_matches_the_dense_reference(case):
     """The reduction by degree returns the f of the dense Fraction system:
     the monic kernel vector of its highest free column, or None."""
@@ -435,6 +473,96 @@ def test_degree_40_f_matches_the_dense_reference(a, b, h1, h2):
     assert want.degree == 40
     found = [t.f for t in identify(a, b).solutions if (t.h1, t.h2) == (h1, h2)]
     assert [f.coeffs for f in found if f.degree == 40] == [want.coeffs]
+
+
+def test_solve_f_makes_no_poly_call_per_image():
+    """The images run on integer vectors: a few Python calls per image of x^i
+    and per reduction step.  Poly products and subtractions per image would
+    make about 82.  The image of x^200 is the indicial one and cancels
+    through all 200 images held below it."""
+    a, h1, h2, d = 3 * X + 202, X, 2 * X, 200
+    assert solve_f(a, h1, h2, d).degree == d
+    assert python_calls(lambda: solve_f(a, h1, h2, d)) <= 16 * (d + 1)
+
+
+README_PAIRS = [
+    ("2n^3+3n^2+11n+5", "-n^6"),
+    ("34n^3+51n^2+27n+5", "-n^6"),
+    ("2n^2+3n+2", "-n^4-n^3"),
+]
+
+# the names a per-stage benchmark wraps in polycf.identify
+TRACED_NAMES = (
+    "factor_integer_rooted",
+    "leading_coeff_split",
+    "candidate_degrees",
+    "solve_f",
+    "EulerTriple",
+    "build_euler_cf",
+)
+
+
+def _contract_pairs():
+    """The README pairs, and planted triples h1 = c1 n(n+2) f,
+    h2 = c2 (n+1) f(x-1) with scales 1/2 and 3, each with its a and a + 1."""
+    pairs = [(parse_poly(a), parse_poly(b)) for a, b in README_PAIRS]
+    half = Fraction(1, 2)
+    for c1, c2 in [(half, 3), (3, half), (half, half)]:
+        for f in (ONE, X + 1, (X + 1) * (X + 3)):
+            a, b = build_euler_cf(EulerTriple(c1 * X * (X + 2) * f, c2 * (X + 1) * f.shift(-1), f))
+            pairs += [(a, b), (a + 1, b)]
+    return pairs
+
+
+def test_identify_calls_each_stage_once_per_split_and_system(monkeypatch):
+    """identify calls its stages through the module's globals, so a wrapper
+    sees every call: factor_integer_rooted once, leading_coeff_split once per
+    reported split, candidate_degrees once per leading pair, solve_f once per
+    (pair, candidate degree <= MAX_F_DEGREE), with None exactly where the
+    dense reference has no f, and EulerTriple and build_euler_cf once per f
+    found.  A benchmark reads its split and system counts off these calls."""
+    # the module, not the package attribute polycf.identify (the function)
+    module = importlib.import_module("polycf.identify")
+    original = {name: getattr(module, name) for name in TRACED_NAMES}
+    calls = {name: [] for name in TRACED_NAMES}
+
+    def wrap(name):
+        def wrapper(*args):
+            out = original[name](*args)
+            calls[name].append((args, out))
+            return out
+
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(module, name, wrap(name))
+    for a, b in _contract_pairs():
+        for log in calls.values():
+            log.clear()
+        report = identify(a, b)
+        splits = {(t.h1.monic(), t.h2.monic()) for t in report.solutions}
+        splits |= {(r.h1, r.h2) for r in report.rejections}
+        # the systems recounted from the splits, by the unwrapped stages
+        systems, pairs = Counter(), 0
+        for h1m, h2m in splits:
+            leading, _ = original["leading_coeff_split"](a, b, (h1m.degree, h2m.degree))
+            for c1, c2 in leading:
+                h1, h2 = h1m * c1, h2m * c2
+                pairs += 1
+                for d in original["candidate_degrees"](a, h1, h2):
+                    if d <= MAX_F_DEGREE:
+                        systems[h1, h2, d] += 1
+        assert len(calls["factor_integer_rooted"]) == 1
+        assert len(calls["leading_coeff_split"]) == len(splits)
+        assert len(calls["candidate_degrees"]) == pairs
+        solved = calls["solve_f"]
+        assert Counter((h1, h2, d) for (a_, h1, h2, d), _ in solved) == systems
+        for (a_, h1, h2, d), f in solved:
+            want = reference_solve_f(a, h1, h2, d)
+            assert (f is None) == (want is None)
+        found = sum(f is not None for _, f in solved)
+        assert len(calls["EulerTriple"]) == len(calls["build_euler_cf"]) == found
+        assert len(report.solutions) <= found
 
 
 def test_large_roots_are_rejected_without_a_large_system():

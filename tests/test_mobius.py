@@ -4,7 +4,6 @@ import contextlib
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -52,6 +51,7 @@ from polycf.mobius import (
 
 from _reference import (
     outcome,
+    python_calls,
     reference_apply,
     reference_cf_value,
     reference_euler_partial_value,
@@ -633,24 +633,6 @@ def test_an_explicit_sequence_runs_out_across_a_batch(length):
         assert outcome(cf_value, cf, depth) == outcome(reference_cf_value, cf, depth) == (InvalidInput, want)
 
 
-def _python_calls(fn) -> int:
-    """The "call" events of sys.setprofile while fn runs: one per Python
-    function call and per generator resume, none for C functions."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 def test_deep_routes_make_no_python_call_per_term():
     # a call per term (a step function, a generator or a horner per index)
     # gives 1 or more events per term; the batched leaves give a few per
@@ -667,7 +649,7 @@ def test_deep_routes_make_no_python_call_per_term():
         lambda: euler_partial_value(cubic, depth),
     ):
         route()
-        assert _python_calls(route) <= depth // 2
+        assert python_calls(route) <= depth // 2
 
 
 def _exact_div_cases():
