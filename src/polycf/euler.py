@@ -49,7 +49,10 @@ class EulerTriple:
 
     Construction validates that f(x) divides f(x-1)h1(x) + f(x+1)h2(x+1)
     (raising NotDivisible otherwise), so every instance carries a genuine
-    polynomial a.  All three components must be nonzero.
+    polynomial a.  All three components must be nonzero.  This division is
+    the only exact check of the relation on identify's path:
+    polycf.identify.solve_f builds the triple and compares its a with the
+    given one.
     """
 
     h1: Poly

@@ -11,12 +11,15 @@ leading coefficients of a and b, bounds deg f by a three-term degree
 analysis, and then solves for f by reducing the images of the powers of x
 under f -> f a - f(x-1) h1 - f(x+1) h2(x+1) by degree (:func:`solve_f`).
 These steps read each Poly's stored ints, with no Fraction or Poly per
-image.  Everything is exact; every returned triple is re-verified against
-(a, b) before it is reported.
+image.  Everything is exact, and each fact is checked once: -h1*h2 = b for
+every leading pair, and the relation for every f found, by the EulerTriple
+that solve_f builds.  A reported triple also rebuilds (a, b) through
+build_euler_cf.
 
-The splits are prefix products: each split (h1, h2) of the blocks so far is
-extended by (p^e, p^(m-e)) for every e in 0..m and the next block p^m, from
-one table of powers of p; the splits are then sorted by (h1, h2).
+The splits come from one Poly product per exponent vector (e_i in 0..m_i
+for each block p_i^m_i): prod p_i^e_i is one block times the product for
+a vector made before it.  Split e pairs the product for e with the one for
+m - e, and the splits are sorted by (h1, h2).
 
 The candidate degrees of f come from per-case closed formulas
 (:func:`candidate_degrees`).  The test suite checks them against an
@@ -36,7 +39,7 @@ from .algebra import (
     assemble_factored,
     factor_integer_rooted,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, NotDivisible
 from .euler import EulerTriple, build_euler_cf
 
 REASON_PATTERN = "degree pattern inadmissible"
@@ -163,10 +166,10 @@ def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
     return [(r1, r2), (r2, r1)], None
 
 
-def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
-    """A nonzero polynomial f with deg f <= d_f solving
-    f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1), monic; None if the only
-    solution is zero.
+def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> EulerTriple | None:
+    """The triple (h1, h2, f) for a nonzero polynomial f with deg f <= d_f
+    solving f(x)a(x) = f(x-1)h1(x) + f(x+1)h2(x+1), f monic; None if the
+    only solution is zero.
 
     The images L(x^i) = x^i a - (x-1)^i h1 - (x+1)^i h2(x+1), i = 0..d_f,
     are reduced in order of i: while an image's degree is held, its lead is
@@ -180,8 +183,12 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     The images are integer vectors, over the lcm of the denominators of a,
     h1 and h2(x+1), and a step is lead(held) image - lead(image) held, on g
     too, with the pair's content divided out: nonzero multiples of the
-    rational vectors, so the monic f is the same.  The returned polynomial
-    always satisfies the relation exactly.
+    rational vectors, so the monic f is the same.
+
+    The relation is checked exactly, once: EulerTriple divides
+    f(x-1)h1 + f(x+1)h2(x+1) by f, and its quotient must be a (an
+    AssertionError otherwise).  So a returned triple always satisfies the
+    relation, and its ``a`` is the given one.
     """
     h2s = h2.shift(1)
     den = math.lcm(a.denominator, h1.denominator, h2s.denominator)
@@ -221,11 +228,14 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> Poly | None:
     # g's top entry, at x^i, is the nonzero scale of x^i + (lower powers)
     lead = f[-1]
     f = Poly._make(f if lead > 0 else [-c for c in f], abs(lead))
-    # exact verification, cheap and non-negotiable
-    check = f * a - f.shift(-1) * h1 - f.shift(1) * h2s
-    if not check.is_zero:
+    # the one exact check: the triple divides f(x-1) h1 + f(x+1) h2(x+1) by f
+    try:
+        t = EulerTriple(h1, h2, f)
+    except NotDivisible:
+        t = None
+    if t is None or t.a != a:
         raise AssertionError("solver produced a non-solution")
-    return f
+    return t
 
 
 @dataclass(frozen=True)
@@ -262,6 +272,7 @@ def _poly_key(p: Poly):
     # ints and Fractions compare by value, so integral Polys skip coeffs
     return (len(p.numerators), p.numerators if p.denominator == 1 else p.coeffs)
 
+
 def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
     """Search one monic decomposition; returns (solutions, rejections)."""
     sols: list[EulerTriple] = []
@@ -286,10 +297,9 @@ def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
             if df > MAX_F_DEGREE:
                 over_budget = True
                 continue
-            f = solve_f(a, h1, h2, df)
-            if f is None:
+            t = solve_f(a, h1, h2, df)
+            if t is None:
                 continue
-            t = EulerTriple(h1, h2, f)
             if build_euler_cf(t) != (a, b):
                 raise AssertionError("identified triple fails round trip")
             found_f = True
@@ -339,22 +349,25 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
             blocks.append((residual, 1))
     exhaustive = all(p.degree == 1 for p, _ in blocks)
 
-    decomps = [(Poly.one(), Poly.one())]
+    # one product per exponent vector e, 0 <= e_i <= m_i: prod p_i^e_i is a
+    # block times the product for the vector one lower in its last nonzero
+    # entry.  In this (mixed-radix) order the complement m - e of vector k
+    # is vector N-1-k, so split k is (prods[k], prods[-1-k]); h1m h2m is the
+    # same for every split, so h1m alone sorts them
+    prods = [Poly.one()]
     for p, mult in blocks:
-        powers = [Poly.one()]
-        for _ in range(mult):
-            powers.append(powers[-1] * p)
-        decomps = [
-            (h1m * powers[e], h2m * powers[mult - e])
-            for h1m, h2m in decomps
-            for e in range(mult + 1)
-        ]
-    decomps.sort(key=lambda pair: (_poly_key(pair[0]), _poly_key(pair[1])))
+        prods, prefixes = [], prods
+        for q in prefixes:
+            prods.append(q)
+            for _ in range(mult):
+                q = p * q
+                prods.append(q)
+    keys = [_poly_key(q) for q in prods]
 
     report = IdentifyReport(exhaustive=exhaustive)
     seen = set()
-    for h1m, h2m in decomps:
-        sols, rejs = _examine(a, b, h1m, h2m)
+    for k in sorted(range(len(prods)), key=keys.__getitem__):
+        sols, rejs = _examine(a, b, prods[k], prods[-1 - k])
         for t in sols:
             key = (t.h1, t.h2, t.f)
             if key not in seen:

@@ -125,7 +125,13 @@ def dominant_limit(t: EulerTriple) -> Fraction | None:
 
 
 def _has_integer_root_at_least(p: Poly, bound: int) -> bool:
-    if p.degree == 0:
+    """Whether p has an integer root r >= bound, for a bound >= 1.
+
+    By Descartes' rule of signs, p has no positive root when its nonzero
+    coefficients share one sign; only otherwise are its roots searched.
+    """
+    signs = {c > 0 for c in p.numerators if c}
+    if len(signs) < 2:
         return False
     return any(r.denominator == 1 and r >= bound for r in rational_roots(p))
 

@@ -211,7 +211,7 @@ def test_leading_coeff_split_cases():
 
 def test_solve_f_known_kernel():
     a = parse_poly("2n^3+3n^2+11n+5")
-    assert solve_f(a, X**3, X**3, 2) == Poly((Fraction(1, 2), 1, 1))
+    assert solve_f(a, X**3, X**3, 2) == EulerTriple(X**3, X**3, Poly((Fraction(1, 2), 1, 1)))
     # cap below the true degree: only the zero solution remains
     assert solve_f(a, X**3, X**3, 1) is None
     assert solve_f(X + 2, X, ONE, 0) is None
@@ -293,33 +293,42 @@ def test_search_recovers_constructed_triples(t):
     assert_sound(report, a, b)
 
 
-@pytest.mark.parametrize("variant", ["linear", "atomic", "factored"])
+@pytest.mark.parametrize("variant", ["linear", "atomic", "factored", "rational", "rational_factored"])
 def test_examined_splits_match_reference_enumeration(variant):
     """identify examines exactly the splits of the pick-by-pick reference,
-    and reports its rejections in sorted split order.
+    stored exactly as the reference's Poly products are, and reports its
+    rejections in sorted split order.
 
     b has 1-3 distinct integer roots of multiplicity 1-3; "atomic" adds an
     (n^2+1)^k factor with k = 1 or 2, which identify sees as one rootless
     block (n^2+1)^k of multiplicity 1, and "factored" passes the blocks,
     shuffled, as a hint, so n^2+1 is a block of multiplicity k that splits
-    like any other.  a comes from a random split, so some splits are solved
-    and some rejected.
+    like any other.  The "rational" variants draw the roots among integers
+    and fractions, so that blocks such as (2n+1)^m and (3n-1) are stored
+    over a denominator, give b a content that is not an integer, and pass
+    the blocks as a hint or not.  a comes from a random split, so some
+    splits are solved and some rejected.
     """
     rng = random.Random(f"splits-{variant}")
+    rational = variant.startswith("rational")
     for _ in range(8):
-        roots = rng.sample(range(-3, 4), rng.randint(1, 3))
+        if rational:
+            values = [-3, 0, 2, Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(-2, 3)]
+            roots = rng.sample(values, rng.randint(1, 3))
+        else:
+            roots = rng.sample(range(-3, 4), rng.randint(1, 3))
         blocks = [(X - r, rng.randint(1, 3)) for r in roots]
-        if variant != "linear":
+        if variant in ("atomic", "factored"):
             k = rng.randint(1, 2)
             blocks.append(((X**2 + 1) ** k, 1) if variant == "atomic" else (X**2 + 1, k))
         h1 = h2 = ONE
         for p, m in blocks:
             e = rng.choice(range(m + 1))
             h1, h2 = h1 * p**e, h2 * p ** (m - e)
-        h2 = h2 * rng.choice([1, 2])
+        h2 = h2 * rng.choice([Fraction(2, 3), -6, Fraction(-5, 4)] if rational else [1, 2])
         a, b = build_euler_cf(trivial_triple(h1, h2))
         factored = None
-        if variant == "factored":
+        if variant.endswith("factored"):
             rng.shuffle(blocks)
             factored = (-h2.lead, blocks)
         report = identify(a, b, factored=factored)
@@ -329,8 +338,13 @@ def test_examined_splits_match_reference_enumeration(variant):
         examined.update(rejected)
         reference = reference_splits(blocks)
         assert examined == set(reference)
+
+        def stored(split):
+            return tuple((p.numerators, p.denominator) for p in split)
+
+        assert {stored(s) for s in examined} == {stored(s) for s in reference}
         assert rejected == sorted(rejected, key=split_key)
-        assert report.exhaustive == (variant == "linear")
+        assert report.exhaustive == (variant not in ("atomic", "factored"))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +472,9 @@ def test_solve_f_matches_the_dense_reference(case):
     if want is None:
         assert got is None
     else:
-        assert got.coeffs == want.coeffs
+        a, h1, h2, _ = case
+        assert got.f.coeffs == want.coeffs
+        assert (got.h1, got.h2, got.a) == (h1, h2, a)
 
 
 @pytest.mark.parametrize("a, b, h1, h2", [
@@ -481,7 +497,7 @@ def test_solve_f_makes_no_poly_call_per_image():
     make about 82.  The image of x^200 is the indicial one and cancels
     through all 200 images held below it."""
     a, h1, h2, d = 3 * X + 202, X, 2 * X, 200
-    assert solve_f(a, h1, h2, d).degree == d
+    assert solve_f(a, h1, h2, d).f.degree == d
     assert python_calls(lambda: solve_f(a, h1, h2, d)) <= 16 * (d + 1)
 
 
@@ -563,6 +579,42 @@ def test_identify_calls_each_stage_once_per_split_and_system(monkeypatch):
         found = sum(f is not None for _, f in solved)
         assert len(calls["EulerTriple"]) == len(calls["build_euler_cf"]) == found
         assert len(report.solutions) <= found
+
+
+def test_identify_checks_each_found_f_once(monkeypatch):
+    """On identify's path the relation is checked once per f found: by the
+    EulerTriple that solve_f builds, which divides f(x-1)h1 + f(x+1)h2(x+1)
+    by f.  The Taylor shifts are that triple's three, f(x-1), f(x+1) and
+    h2(x+1), plus the h2(x+1) each system is reduced with."""
+    module = importlib.import_module("polycf.identify")
+    shift, divide, solve = Poly.shift, Poly.__divmod__, module.solve_f
+    counts = Counter()
+
+    def counting_shift(p, k):
+        counts["shifts"] += len(p.numerators) > 1 and k != 0
+        return shift(p, k)
+
+    def counting_divide(p, q):
+        counts["divisions"] += 1
+        return divide(p, q)
+
+    def counting_solve(*args):
+        t = solve(*args)
+        counts["systems"] += 1
+        counts["found"] += t is not None
+        return t
+
+    monkeypatch.setattr(Poly, "shift", counting_shift)
+    monkeypatch.setattr(Poly, "__divmod__", counting_divide)
+    monkeypatch.setattr(module, "solve_f", counting_solve)
+    found = 0
+    for a, b in _contract_pairs():
+        counts.clear()
+        identify(a, b)
+        assert counts["divisions"] == counts["found"]
+        assert counts["shifts"] <= 3 * counts["found"] + counts["systems"]
+        found += counts["found"]
+    assert found > 0
 
 
 def test_large_roots_are_rejected_without_a_large_system():

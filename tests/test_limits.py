@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycf.limits
+from polycf.algebra import rational_roots
 
 from polycf import (
     BetaForm,
@@ -203,6 +204,29 @@ def test_dominant_limit_declines():
     assert dominant_limit(trivial_triple(X, X)) is None  # no dominance
     assert dominant_limit(trivial_triple(X * (X - 3), X + 1)) is None  # h1 root >= 1
     assert dominant_limit(trivial_triple(X**3, X - 2)) is None  # h2 root >= 2
+
+
+@st.composite
+def root_check_polys(draw):
+    """Nonzero polynomials of degree <= 4 with small rational coefficients,
+    zeros common and leads of either sign, half the time times (n - r) for
+    a small integer r, so that integer roots at and around the bounds occur."""
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]), max_size=4))
+    p = Poly(coeffs + [draw(st.sampled_from([1, -1, 2, -3, Fraction(-1, 2)]))])
+    if draw(st.booleans()):
+        p = p * (X - draw(st.integers(-2, 4)))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=root_check_polys(), bound=st.integers(1, 3))
+def test_integer_root_check_matches_the_root_search(p, bound):
+    """The sign-change shortcut of the dominance check answers as the full
+    rational-root search does."""
+    want = p.degree > 0 and any(
+        r.denominator == 1 and r >= bound for r in rational_roots(p)
+    )
+    assert polycf.limits._has_integer_root_at_least(p, bound) == want
 
 
 # ---------------------------------------------------------------------------
