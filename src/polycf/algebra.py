@@ -670,8 +670,6 @@ class Poly(_Exact):
             # _coerce: for the zero Poly horner gives the int 0
             return Poly._coerce(horner(nums[::-1], v)) / self.denominator
         p, q = v.numerator, v.denominator
-        if q == 1:
-            return Fraction(horner(nums[::-1], p), self.denominator)
         return Fraction(horner(nums[::-1], p, q), self.denominator * q ** max(len(nums) - 1, 0))
 
     def shift(self, k) -> "Poly":
@@ -1087,12 +1085,6 @@ class RatFunc(_Exact):
         if o.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def shift(self, k) -> "RatFunc":
         return RatFunc(self.num.shift(k), self.den.shift(k))

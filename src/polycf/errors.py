@@ -44,10 +44,9 @@ class NotDivisible(PolycfError):
 class PoleInFormula(PolycfError):
     """A closed-form denominator vanished at some index."""
 
-    def __init__(self, k, what=""):
+    def __init__(self, k, what):
         self.k = k
-        label = what or "denominator"
-        super().__init__(f"{label} vanishes at k = {k}")
+        super().__init__(f"{what} vanishes at k = {k}")
 
 
 class NonTelescoping(PolycfError):

@@ -7,23 +7,27 @@ with a polynomial f such that
 
 The search factors -b over the rationals, enumerates how the factor base can
 be split between h1 and h2, pins the two leading coefficients from the
-leading coefficients of a and b, bounds deg f by a three-term degree
-analysis, and then solves for f by reducing the images of the powers of x
-under f -> f a - f(x-1) h1 - f(x+1) h2(x+1) by degree (:func:`solve_f`).
-These steps read each Poly's stored ints, with no Fraction or Poly per
-image.  Everything is exact, and each fact is checked once: -h1*h2 = b for
-every leading pair, and the relation for every f found, by the EulerTriple
-that solve_f builds.  A reported triple also rebuilds (a, b) through
-build_euler_cf.
+leading coefficients of a and b, takes the candidate degrees of f from the
+indicial coefficients of L: f -> f a - f(x-1) h1 - f(x+1) h2(x+1), and
+solves for f by reducing the images of the powers of x under L by degree
+(:func:`solve_f`).  These steps read each Poly's stored ints, with no
+Fraction or Poly per image.  Everything is exact, and each fact is checked
+once: -h1*h2 = b for every leading pair, and the relation for every f
+found, by the EulerTriple that solve_f builds.  A reported triple also
+rebuilds (a, b) through build_euler_cf.  Each split gets one verdict: its
+solutions, or one rejection reason.
 
 The splits come from one Poly product per exponent vector (e_i in 0..m_i
 for each block p_i^m_i): prod p_i^e_i is one block times the product for
 a vector made before it.  Split e pairs the product for e with the one for
 m - e, and the splits are sorted by (h1, h2).
 
-The candidate degrees of f come from per-case closed formulas
-(:func:`candidate_degrees`).  The test suite checks them against an
-independent oracle, the generic recurrence analysis in
+The image of x^k under L has degree at most k + d, d the largest degree of
+a, h1 and h2.  Its coefficients at x^(k+d), x^(k+d-1) and x^(k+d-2), a
+constant, a line and a quadratic in k, are the indicial ones
+(:func:`candidate_degrees`; Abramov, Bronstein and Petkovsek, ISSAC 1995):
+the first that is not identically zero vanishes at k = deg f.  The tests
+check these degrees against the generic recurrence analysis in
 ``tests/_reference.py``.
 """
 
@@ -61,21 +65,23 @@ def _exact_isqrt(n: int) -> int | None:
 
 
 def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
-    """Candidate deg f values from the per-case closed formulas.
+    """Candidate deg f values: the nonnegative integer roots of the
+    indicial coefficients of f -> f a - f(x-1) h1 - f(x+1) h2(x+1).
 
-    Dispatches on the degree pattern of (a, h1, h2); coefficients are read
-    at the fixed positions d, d-1, d-2 where d = max of the three degrees,
-    with missing positions as zero.  The empty set comes back when the x^d
-    coefficients of a, h1 and h2 do not balance, when h1 and h2 have equal
-    leads but the x^(d-1) coefficients do not balance either, and for
-    non-integer or negative formula values.
+    Let d be the largest of the three degrees, and A, u, v and a1, g1, g2
+    the x^d and x^(d-1) coefficients of a, h1, h2 (zero where missing).
+    The image of x^k has the coefficient A - u - v at x^(k+d); unless it is
+    zero, no f exists.  At x^(k+d-1) it has c + k (u - v) with
+    c = a1 - g1 - g2 - d v, so for u != v deg f is the root of that line.
+    For u = v a nonzero c admits no degree, and a zero one leaves the
+    x^(k+d-2) coefficient, quadratic in k.  Roots that are not nonnegative
+    integers are dropped.
     """
     if a.is_zero or h1.is_zero or h2.is_zero:
         raise InvalidInput("a, h1, h2 must be nonzero")
-    da, d1, d2 = a.degree, h1.degree, h2.degree
-    d = max(da, d1, d2)
-    # every formula is a ratio of terms linear in the coefficients (the
-    # quadratic's roots too), so one common integer scale L leaves it as is
+    d = max(a.degree, h1.degree, h2.degree)
+    # every root is a ratio of terms linear in the coefficients (the
+    # quadratic's too), so one common integer scale L leaves it as is
     L = math.lcm(a.denominator, h1.denominator, h2.denominator)
     ca, c1, c2 = (
         [c * (L // p.denominator) for c in p.numerators] for p in (a, h1, h2)
@@ -88,39 +94,26 @@ def candidate_degrees(a: Poly, h1: Poly, h2: Poly) -> set[int]:
     u, v = at(c1, d), at(c2, d)
     if A != u + v:
         return set()
-    a1, g1, g2 = at(ca, d - 1), at(c1, d - 1), at(c2, d - 1)
+    g1, g2 = at(c1, d - 1), at(c2, d - 1)
+    # the shift in h2(x+1) adds d*v at x^(d-1)
+    c = at(ca, d - 1) - g1 - g2 - d * v
 
     def keep(num: int, den: int) -> set[int]:
         q, r = divmod(num, den)
         return {q} if not r and q >= 0 else set()
 
-    if d1 == d and da == d and d2 < d:
-        # h1 carries the lead of a
-        return keep(a1 - g1 - g2, -A)
-    if d2 == d and da == d and d1 < d:
-        # h2 carries the lead of a; the shift in h2(x+1) adds d*A
-        return keep(a1 - g1 - g2 - d * A, A)
-    if d1 == d and d2 == d and da < d:
-        # opposite leads u = -v != 0
-        return keep(a1 - g1 - g2 - d * v, v - u)
-    # d1 == d2 == da == d: every other pattern fails A == u + v
     if u != v:
-        return keep(a1 - g1 - g2 - d * v, v - u)
-    # equal leads: the x^(k+d-1) coefficient of the image of x^k is this
-    # constant for every k, so when it is nonzero no f exists
-    if a1 - g1 - g2 - d * v:
+        return keep(c, v - u)
+    if c:
         return set()
-    # otherwise the degree obeys a quadratic,
-    # const + df*(g1 - g2 - d*v) - C(df,2)*A = 0 with A = 2u
-    a2, f1, f2 = at(ca, d - 2), at(c1, d - 2), at(c2, d - 2)
-    shift2 = f2 + (d - 1) * g2 + d * (d - 1) // 2 * v
-    qa = -u
-    qb = (g1 - g2 - d * v) + u
-    qc = a2 - f1 - shift2
-    sq = _exact_isqrt(qb * qb - 4 * qa * qc)
+    # equal leads, A = 2u: qc + k (g1 - g2 - d v) - C(k, 2) A = 0, where
+    # h2(x+1) has f2 + (d-1) g2 + C(d, 2) v at x^(d-2)
+    qc = at(ca, d - 2) - at(c1, d - 2) - at(c2, d - 2) - (d - 1) * g2 - d * (d - 1) // 2 * v
+    qb = g1 - g2 - d * v + u
+    sq = _exact_isqrt(qb * qb + 4 * u * qc)
     if sq is None:
         return set()
-    return keep(-qb + sq, 2 * qa) | keep(-qb - sq, 2 * qa)
+    return keep(-qb + sq, -2 * u) | keep(-qb - sq, -2 * u)
 
 
 def leading_coeff_split(a: Poly, b: Poly, degree_pattern: tuple[int, int]):
@@ -182,8 +175,8 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> EulerTriple | None:
 
     The images are integer vectors, over the lcm of the denominators of a,
     h1 and h2(x+1), and a step is lead(held) image - lead(image) held, on g
-    too, with the pair's content divided out: nonzero multiples of the
-    rational vectors, so the monic f is the same.
+    too, each lead divided by their gcd: nonzero multiples of the rational
+    vectors, so the monic f is the same.
 
     The relation is checked exactly, once: EulerTriple divides
     f(x-1)h1 + f(x+1)h2(x+1) by f, and its quotient must be a (an
@@ -211,12 +204,6 @@ def solve_f(a: Poly, h1: Poly, h2: Poly, d_f: int) -> EulerTriple | None:
             g = [u * c - v * e for c, e in zip_longest(g, hg, fillvalue=0)]
             while image and not image[-1]:
                 image.pop()
-            # the content divides g's top entry, the scale of x^i: there is
-            # none when that is +-1, and the gcd is cheap started from it
-            if abs(g[-1]) != 1:
-                k = math.gcd(g[-1], *image, *g)
-                if k != 1:
-                    image, g = [c // k for c in image], [c // k for c in g]
         if image:
             held[len(image) - 1] = image, g
         else:
@@ -274,43 +261,36 @@ def _poly_key(p: Poly):
 
 
 def _examine(a: Poly, b: Poly, h1m: Poly, h2m: Poly):
-    """Search one monic decomposition; returns (solutions, rejections)."""
+    """Search one monic decomposition; returns (solutions, reason, skipped):
+    the triples found, the reason for rejecting the split (None
+    when it has a solution) and whether a candidate deg f above
+    MAX_F_DEGREE was skipped."""
     sols: list[EulerTriple] = []
-    rejs: list[Rejection] = []
     pairs, reason = leading_coeff_split(a, b, (h1m.degree, h2m.degree))
     if reason is not None:
-        rejs.append(Rejection(h1m, h2m, reason))
-        return sols, rejs
-    found_degree = False
-    found_f = False
-    over_budget = False
+        return sols, reason, False
+    reason, skipped = REASON_NO_DEGREE, False
     for c1, c2 in pairs:
         h1 = h1m * c1
         h2 = h2m * c2
         if -(h1 * h2) != b:
             raise AssertionError("leading split does not reassemble b")
-        dfs = candidate_degrees(a, h1, h2)
-        if not dfs:
-            continue
-        found_degree = True
-        for df in sorted(dfs):
+        for df in sorted(candidate_degrees(a, h1, h2)):
             if df > MAX_F_DEGREE:
-                over_budget = True
+                skipped = True
                 continue
+            reason = REASON_NO_F
             t = solve_f(a, h1, h2, df)
             if t is None:
                 continue
             if build_euler_cf(t) != (a, b):
                 raise AssertionError("identified triple fails round trip")
-            found_f = True
             sols.append(t)
-    if not found_degree:
-        rejs.append(Rejection(h1m, h2m, REASON_NO_DEGREE))
-    elif over_budget:
-        rejs.append(Rejection(h1m, h2m, REASON_F_BUDGET))
-    elif not found_f:
-        rejs.append(Rejection(h1m, h2m, REASON_NO_F))
-    return sols, rejs
+    if sols:
+        reason = None
+    elif skipped:
+        reason = REASON_F_BUDGET
+    return sols, reason, skipped
 
 
 def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
@@ -326,10 +306,10 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     The report lists every verified triple, the rejected decompositions with
     reasons, and whether the enumeration was exhaustive.  It is not when a
     block has degree >= 2, since such a block may factor further into splits
-    that were not visited, or when a candidate deg f was above MAX_F_DEGREE:
-    a decomposition with a candidate degree above the budget is not solved
-    at that degree, and gets the rejection "f degree above the search
-    budget".  Factoring the integer coefficients of -b has a budget too
+    that were not visited, or when a candidate deg f was above MAX_F_DEGREE.
+    Such a degree is not solved at; a decomposition with one and no
+    solution gets the rejection "f degree above the search budget".
+    Factoring the integer coefficients of -b has a budget too
     (see polycf.algebra.factor_int); past it, identify raises InvalidInput.
     """
     if a.is_zero or b.is_zero:
@@ -365,18 +345,18 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     keys = [_poly_key(q) for q in prods]
 
     report = IdentifyReport(exhaustive=exhaustive)
-    seen = set()
     for k in sorted(range(len(prods)), key=keys.__getitem__):
-        sols, rejs = _examine(a, b, prods[k], prods[-1 - k])
-        for t in sols:
-            key = (t.h1, t.h2, t.f)
-            if key not in seen:
-                seen.add(key)
-                report.solutions.append(t)
-        report.rejections.extend(rejs)
-        if any(r.reason == REASON_F_BUDGET for r in rejs):
+        h1m, h2m = prods[k], prods[-1 - k]
+        sols, reason, skipped = _examine(a, b, h1m, h2m)
+        report.solutions.extend(sols)
+        if reason is not None:
+            report.rejections.append(Rejection(h1m, h2m, reason))
+        if skipped:
             report.exhaustive = False
-    report.solutions.sort(
+    # one triple can come twice: from two candidate degrees of a pair, or
+    # from two splits of a factored hint whose blocks share a factor
+    report.solutions = sorted(
+        dict.fromkeys(report.solutions),
         key=lambda t: (_poly_key(t.h1), _poly_key(t.h2), _poly_key(t.f))
     )
     return report

@@ -9,7 +9,7 @@ here fails loudly rather than silently weakening every numeric comparison.
 
 The generic three-term degree analysis at the end is the oracle for
 polycf.identify.candidate_degrees: it derives the degree of f from the
-recurrence form rather than from the per-case formulas.  reference_splits is
+recurrence form rather than from the stored ints.  reference_splits is
 the oracle for the splits polycf.identify.identify examines: it builds each
 split pick by pick rather than as running prefix products.
 

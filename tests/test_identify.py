@@ -226,6 +226,43 @@ def test_degree_routes_agree_on_quadratic_case():
     assert three_term_degree_analysis(BetaTriple.from_cf(a, h1, h2)) == expected
 
 
+# h1 = c1 g1 f and h2 = c2 g2 f(x-1) with rational leads, one triple for
+# each degree pattern that the indicial coefficients handle without a case
+# of their own: deg h1 = deg a > deg h2, deg h2 = deg a > deg h1, and
+# deg h1 = deg h2 > deg a with opposite leads
+DEGREE_PATTERN_TRIPLES = {
+    "h1_carries_a": EulerTriple(Fraction(3, 2) * X * (X + 1), Fraction(2, 3) * X, X + 1),
+    "h2_carries_a": EulerTriple(Fraction(2, 3) * (X + 1), Fraction(3, 2) * (X + 2) * X, X + 1),
+    "opposite_leads": EulerTriple(
+        Fraction(5, 2) * (X + 1) * (X + 2), Fraction(-5, 2) * X * (X + 1), (X + 1) * (X + 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_PATTERN_TRIPLES)
+def test_degree_routes_agree_on_each_degree_pattern(name):
+    """On each pattern with rational leads the indicial coefficients give
+    the oracle's degree set: for the triple's a, which admits deg f, and
+    for a moved at x^(d-1): by
+    v - u, the x^d coefficients of h2 less h1's, the root moves to
+    deg f + 1, and by 1/3 off the integers."""
+    t = DEGREE_PATTERN_TRIPLES[name]
+    a, h1, h2 = t.a, t.h1, t.h2
+    d = max(h1.degree, h2.degree)
+    u, v = h1.coeff(d), h2.coeff(d)
+    patterns = {
+        "h1_carries_a": a.degree == h1.degree > h2.degree,
+        "h2_carries_a": a.degree == h2.degree > h1.degree,
+        "opposite_leads": h1.degree == h2.degree > a.degree and u == -v,
+    }
+    assert patterns[name]
+    assert t.f.degree in candidate_degrees(a, h1, h2)
+    assert candidate_degrees(a + (v - u) * X ** (d - 1), h1, h2) == {t.f.degree + 1}
+    for moved in (a, a + X ** (d - 1) / 3, a + (v - u) * X ** (d - 1)):
+        via_recurrence = three_term_degree_analysis(BetaTriple.from_cf(moved, h1, h2))
+        assert candidate_degrees(moved, h1, h2) == via_recurrence
+
+
 @st.composite
 def small_poly(draw, max_degree=3):
     deg = draw(st.integers(min_value=0, max_value=max_degree))
@@ -236,31 +273,36 @@ def small_poly(draw, max_degree=3):
 
 @st.composite
 def degree_inputs(draw):
-    """(a, h1, h2), drawn independently half the time.  Otherwise h1 and h2
-    share degree d and lead, and a = h1 + h2(x+1) + r with deg r < d: the
-    x^d coefficients balance, and when deg r < d - 1 the x^(d-1) ones do
-    too, which reaches the quadratic branch of candidate_degrees."""
+    """(a, h1, h2), drawn independently a third of the time.  Otherwise h1
+    and h2 share degree d, with equal or with opposite leads, and
+    a = h1 + h2(x+1) + r with deg r < d.  Equal leads balance the x^d
+    coefficients, and when deg r < d - 1 the x^(d-1) ones too, which reaches
+    the quadratic in candidate_degrees; opposite leads give deg a < d."""
+    mode = draw(st.sampled_from(["independent", "equal", "opposite"]))
     h1 = draw(small_poly())
-    if draw(st.booleans()):
+    if mode == "independent":
         return draw(small_poly()), h1, draw(small_poly())
     d = h1.degree
     coeffs = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(d)]
-    h2 = Poly([Fraction(c) for c in coeffs] + [h1.lead])
+    lead = h1.lead if mode == "equal" else -h1.lead
+    h2 = Poly([Fraction(c) for c in coeffs] + [lead])
     n = draw(st.integers(min_value=0, max_value=d))  # deg r < n
     r = Poly([Fraction(draw(st.integers(min_value=-4, max_value=4))) for _ in range(n)])
-    return h1 + h2.shift(1) + r, h1, h2
+    a = h1 + h2.shift(1) + r
+    assume(not a.is_zero)
+    return a, h1, h2
 
 
 @settings(max_examples=120, deadline=None)
 @given(inputs=degree_inputs())
 def test_degree_routes_agree_everywhere(inputs):
-    """The closed-form dispatch and the generic recurrence analysis are
-    independent derivations; they must produce identical degree sets on
-    arbitrary nonzero inputs, admissible or not."""
+    """The indicial coefficients on stored ints and the generic recurrence
+    analysis are independent derivations; they must produce identical
+    degree sets on arbitrary nonzero inputs, admissible or not."""
     a, h1, h2 = inputs
-    via_cases = candidate_degrees(a, h1, h2)
+    via_indicial = candidate_degrees(a, h1, h2)
     via_recurrence = three_term_degree_analysis(BetaTriple.from_cf(a, h1, h2))
-    assert via_cases == via_recurrence
+    assert via_indicial == via_recurrence
 
 
 @st.composite
@@ -681,6 +723,23 @@ def test_a_large_integer_root_of_b_ends_with_budget_rejections():
         (X**2 * (X + N), X * (X + 1)),
         (X * (X + N) * (X + 1), X**2),
     ]
+    assert report.exhaustive is False
+    assert_sound(report, a, b)
+
+
+def test_a_solved_split_with_a_skipped_degree_is_not_rejected():
+    """a = 2n + 1005, b = -(n + 1)(n + 1003): the split (n + 1003, n + 1)
+    has the candidate degrees 0 and 1002.  f = 1 solves it at degree 0, so
+    it gets no rejection; 1002 is above MAX_F_DEGREE and skipped, so the
+    report is not exhaustive."""
+    a, b = 2 * X + 1005, -((X + 1) * (X + 1003))
+    assert candidate_degrees(a, X + 1003, X + 1) == {0, MAX_F_DEGREE + 2}
+    report = identify(a, b)
+    assert report.solutions == [EulerTriple(X + 1, X + 1003, ONE), EulerTriple(X + 1003, X + 1, ONE)]
+    solved = {(t.h1.monic(), t.h2.monic()) for t in report.solutions}
+    rejected = {(r.h1, r.h2) for r in report.rejections}
+    assert not solved & rejected
+    assert [r.reason for r in report.rejections] == [REASON_PATTERN] * 2
     assert report.exhaustive is False
     assert_sound(report, a, b)
 
