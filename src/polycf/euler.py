@@ -92,7 +92,8 @@ def build_euler_cf(t: EulerTriple) -> tuple[Poly, Poly]:
 
 
 def euler_sum(r, n: int) -> Fraction:
-    """Partial sum sum_{k=0}^{n} prod_{i=1}^{k} r(i), evaluated directly."""
+    """Partial sum sum_{k=0}^{n} prod_{i=1}^{k} r(i), evaluated directly;
+    r is a Poly or a finite list or tuple."""
     _check_length(r, n, "r")
     total = Fraction(1)
     prod = Fraction(1)
@@ -103,23 +104,30 @@ def euler_sum(r, n: int) -> Fraction:
 
 
 def euler_sum_to_cf(r) -> CFSpec:
-    """CFSpec with terms b(i) = -r(i), a(i) = 1 + r(i).
+    """CFSpec with terms b(i) = -r(i), a(i) = 1 + r(i), for r a Poly or a
+    finite list or tuple.
 
     The value identity is euler_sum(r, n) == 1/(1 + cf_value(cf, n)).
-    An explicit list or tuple is read here, in order; a Poly or callable is
-    read when the CF is evaluated.  A term r(i) = -1 zeroes the partial
-    denominator; it raises DegenerateTerm(i) when the term is read.
+    A term r(i) = -1 zeroes the partial denominator: DegenerateTerm(i) is
+    raised here for the least such i >= 1, whatever terms come before it.
+    A list or tuple is read in order, a Poly by the rational roots of r + 1.
+
+    >>> from polycf import cf_value
+    >>> cf = euler_sum_to_cf(Poly([1, 1]))    # r(i) = i + 1: 1 + 2 + 2*3 + 2*3*4 = 33
+    >>> print(cf.b, "|", cf.a, "|", 1 / (1 + cf_value(cf, 3)))
+    -n - 1 | n + 2 | 33
     """
-
-    def r_of(i: int) -> Fraction:
-        ri = _term(r, i - 1, i)
-        if ri == -1:
+    if isinstance(r, Poly):
+        a = r + 1
+        bad = [1] if a.is_zero else [x for x in rational_roots(a) if x.denominator == 1 and x >= 1]
+        if bad:
+            raise DegenerateTerm(int(bad[0]))
+        return CFSpec(b=-r, a=a)
+    rs = []
+    for i in range(1, len(r) + 1):
+        rs.append(_term(r, i - 1, i))
+        if rs[-1] == -1:
             raise DegenerateTerm(i)
-        return ri
-
-    if not isinstance(r, (list, tuple)):
-        return CFSpec(b=lambda i: -r_of(i), a=lambda i: 1 + _term(r, i - 1, i))
-    rs = [r_of(i) for i in range(1, len(r) + 1)]
     return CFSpec(b=[-ri for ri in rs], a=[1 + ri for ri in rs])
 
 
@@ -136,9 +144,10 @@ def equivalence_transform(b, a, c, n: int | None = None):
     (1/c(0)) * K b'(i)/a'(i) where b'(i) = c(i-1) c(i) b(i) and
     a'(i) = c(i) a(i).
 
-    To transform the tail from index k+1 on (say, when c(0) would be zero:
-    peel the head terms off by hand), pass b and a shifted: b.shift(k),
-    lambda i: b(i + k), or the list from position k on.
+    b, a and c are each a Poly or a finite list or tuple.  To transform the
+    tail from index k+1 on (say, when c(0) would be zero: peel the head
+    terms off by hand), pass b and a shifted: b.shift(k), or the list from
+    position k on.
 
     Polynomial mode (b, a, c Polys and n None) returns Polys; otherwise n is
     required and explicit lists for indices 1..n are returned.  The third

@@ -333,7 +333,8 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     # block times the product for the vector one lower in its last nonzero
     # entry.  In this (mixed-radix) order the complement m - e of vector k
     # is vector N-1-k, so split k is (prods[k], prods[-1-k]); h1m h2m is the
-    # same for every split, so h1m alone sorts them
+    # same for every split, so h1m alone sorts them.  Blocks that share a
+    # factor give equal products, and such a split is examined once
     prods = [Poly.one()]
     for p, mult in blocks:
         prods, prefixes = [], prods
@@ -343,9 +344,10 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
                 q = p * q
                 prods.append(q)
     keys = [_poly_key(q) for q in prods]
+    distinct = {key: k for k, key in enumerate(keys)}
 
     report = IdentifyReport(exhaustive=exhaustive)
-    for k in sorted(range(len(prods)), key=keys.__getitem__):
+    for k in sorted(distinct.values(), key=keys.__getitem__):
         h1m, h2m = prods[k], prods[-1 - k]
         sols, reason, skipped = _examine(a, b, h1m, h2m)
         report.solutions.extend(sols)
@@ -353,8 +355,7 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
             report.rejections.append(Rejection(h1m, h2m, reason))
         if skipped:
             report.exhaustive = False
-    # one triple can come twice: from two candidate degrees of a pair, or
-    # from two splits of a factored hint whose blocks share a factor
+    # one triple can come twice only from two candidate degrees of a pair
     report.solutions = sorted(
         dict.fromkeys(report.solutions),
         key=lambda t: (_poly_key(t.h1), _poly_key(t.h2), _poly_key(t.f))

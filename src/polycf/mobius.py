@@ -23,19 +23,19 @@ denominator 1 is read by ``algebra.eval_range`` on its numerators, in
 batches of consecutive indices with no Python call per term.
 ``CFSpec.terms``, the one place where a single term becomes an int, reads
 those batches one term at a time; ``_companion_product`` hands them to the
-tree whole (any other CF in chunks of its terms).
-``_tree_product(leaves, tail)`` is the one product kernel for step
+tree whole (an explicit CF in one batch).
+``_tree_product(leaves, tail, strip)`` is the one product kernel for step
 products (binary splitting).  Its leaves are the products of _LEAF
 consecutive steps, each multiplied out by one local loop over a batch in
 one of two shapes: ``_companion_leaves`` for (0, b; 1, a) by the
 convergent recurrence, ``_triangular_leaves`` for (alpha, beta; 0, gamma).
 The tree merges equal-sized neighbouring blocks, so that the large
 multiplications are between operands of equal size and only O(log depth)
-blocks are held.  It returns the product times a fixed ``tail``, the
-identity by default.  A reader that needs one column of the product passes
-a tail whose first column is zero; the tail goes into the last leaf, and
-every merge with that leaf, the top merge among them, then costs 4 big
-products in place of 8.  ``_mat_mul`` is the one 2x2 product, used by the
+blocks are held.  It returns the product times a fixed ``tail``.  A
+reader that needs one column of the product passes a tail whose first
+column is zero; the tail goes into the last leaf, and every merge with
+that leaf, the top merge among them, then costs 4 big products in place
+of 8.  ``_mat_mul`` is the one 2x2 product, used by the
 tree's merges, ``_Matrix2`` (the shell of ``Mat2`` and
 ``matforms.PolyMat2``) and ``matforms.cf_form_states``.  The callers of
 the tree, their leaves and their tails:
@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .algebra import _BATCH, INF, Poly, QuadSurd, eval_range, is_inf, rat
+from .algebra import INF, Poly, QuadSurd, eval_range, is_inf, rat
 from .errors import InvalidInput
 
 
@@ -148,22 +148,20 @@ class Mat2(_Matrix2):
 # term sources and the convergent stream
 # ---------------------------------------------------------------------------
 
-# A coefficient sequence is a Poly (evaluated at the index), an explicit
-# sequence (index 1 maps to position 0), or a callable.
+# A coefficient sequence is a Poly (evaluated at the index) or an explicit
+# finite list or tuple (index 1 maps to position 0).
 # _term is the one reader of such sequences, here and in polycf.euler.
 
 
 def _term(seq, pos: int, i: int):
-    """Read one coefficient: Polys and callables see the index i, explicit
-    sequences are consumed positionally; None signals exhaustion."""
+    """Read one coefficient: a Poly sees the index i, a list or tuple is
+    read at position pos; None signals exhaustion."""
     if isinstance(seq, Poly):
         return seq(i)
     if isinstance(seq, (list, tuple)):
         if pos >= len(seq):
             return None
         return rat(seq[pos])
-    if callable(seq):
-        return rat(seq(i))
     raise TypeError(f"cannot read a coefficient sequence from {type(seq).__name__}")
 
 
@@ -171,8 +169,9 @@ def _term(seq, pos: int, i: int):
 class CFSpec:
     """A continued fraction head + K_{i>=1} b(i)/a(i).
 
-    ``a`` and ``b`` are Polys, explicit (finite) sequences, or callables in
-    the index.  ``head`` is added in front of the K part when evaluating.
+    ``a`` and ``b`` are Polys or explicit finite lists or tuples, so a CF
+    not given by two Polys is finite.  ``head`` is added in front of the K
+    part when evaluating.
     """
 
     b: object
@@ -187,16 +186,13 @@ class CFSpec:
         if descs is not None:
             for bs, as_ in zip(*(eval_range(desc, 1) for desc in descs)):
                 yield from zip(bs, as_)
-            return
-        pos = 0
-        while True:
-            i = pos + 1
-            bi, ai = _term(self.b, pos, i), _term(self.a, pos, i)
-            if bi is None or ai is None:
-                return
-            yield (bi.numerator if bi.denominator == 1 else bi,
-                   ai.numerator if ai.denominator == 1 else ai)
-            pos += 1
+        else:
+            for pos in itertools.count():
+                bi, ai = _term(self.b, pos, pos + 1), _term(self.a, pos, pos + 1)
+                if bi is None or ai is None:
+                    return
+                yield (bi.numerator if bi.denominator == 1 else bi,
+                       ai.numerator if ai.denominator == 1 else ai)
 
 
 def _integral_descs(cf: CFSpec) -> tuple | None:
@@ -314,7 +310,7 @@ def _merge(left: tuple, right: tuple, strip: bool) -> tuple:
     return m, strip
 
 
-def _tree_product(leaves: Iterable, tail: tuple = _IDENTITY, strip: bool = False) -> tuple:
+def _tree_product(leaves: Iterable, tail: tuple, strip: bool) -> tuple:
     """The product, left to right, of the blocks (a, b, c, d) of `leaves`,
     times `tail`, as a balanced tree; with `strip`, that product divided by
     a positive integer (a block with a Fraction entry is never divided).
@@ -397,8 +393,9 @@ def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tupl
     """(m, steps, truncated): the _tree_product of the companion steps of cf
     times `tail`, stripped with `strip`.
 
-    Exactly `depth` terms are read, fewer when a zero b truncates the CF:
-    integral Polys in batches by eval_range, any other CF by _term_chunks.
+    Up to `depth` steps are multiplied, fewer when a zero b truncates the
+    CF: integral Polys are read in batches by eval_range, and any other CF,
+    which is finite, as one batch of its first `depth` terms.
     """
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
@@ -406,7 +403,8 @@ def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tupl
     if descs is not None:
         source = zip(*(eval_range(desc, 1, depth + 1) for desc in descs))
     else:
-        source = _term_chunks(itertools.islice(cf.terms(), depth))
+        terms = list(itertools.islice(cf.terms(), depth))
+        source = [([b for b, _ in terms], [a for _, a in terms])]
     steps = 0
     truncated = False
 
@@ -427,23 +425,6 @@ def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tupl
             f"coefficient sequence exhausted after {steps} terms, needed {depth}"
         )
     return m, steps, truncated
-
-
-def _term_chunks(terms: Iterator[tuple]) -> Iterator[tuple]:
-    """The (b, a) pairs of `terms` as (bs, as) lists of at most _BATCH
-    terms; a zero b ends its chunk and the chunks, and no term past it is
-    read, as the stream reads none."""
-    bs, as_ = [], []
-    for b, a in terms:
-        bs.append(b)
-        as_.append(a)
-        if b == 0:
-            break
-        if len(bs) == _BATCH:
-            yield bs, as_
-            bs, as_ = [], []
-    if bs:
-        yield bs, as_
 
 
 # Exact division beats // once the divisor has this many bits and at least
@@ -523,7 +504,7 @@ def _scaled_value(state: ConvergentState, L: int):
 def cf_value(cf: CFSpec, depth: int):
     """Exact value head + K_{i=1}^{depth} b(i)/a(i).
 
-    Consumes exactly `depth` terms (fewer if a zero b truncates the CF).
+    Multiplies exactly `depth` steps (fewer if a zero b truncates the CF).
     Returns a Fraction, or INF when the finite CF is a pole.
 
     >>> cf_value(CFSpec(b=Poly([0, -1]), a=Poly([2, 1])), 2)   # -1/(3 + (-2)/4)

@@ -208,11 +208,12 @@ def split_key(split):
 
 
 def reference_splits(blocks) -> list:
-    """Every monic split (h1, h2) of the factor blocks [(p, mult), ...],
-    sorted by split_key.
+    """Every distinct monic split (h1, h2) of the factor blocks
+    [(p, mult), ...], sorted by split_key.
 
     Each pick of exponents e, every e in 0..mult for every block, gives
-    h1 = prod p**e and h2 = prod p**(mult-e).
+    h1 = prod p**e and h2 = prod p**(mult-e); blocks that share a factor
+    give some split by more than one pick, and it is listed once.
     """
     choices = [range(m + 1) for _, m in blocks]
     splits = []
@@ -222,7 +223,7 @@ def reference_splits(blocks) -> list:
             h1 = h1 * p**e
             h2 = h2 * p ** (m - e)
         splits.append((h1, h2))
-    return sorted(splits, key=split_key)
+    return sorted(dict.fromkeys(splits), key=split_key)
 
 
 def reference_states(cf: CFSpec):

@@ -280,6 +280,28 @@ def test_squarefree_split_oracle():
     assert factor_int(1152) == {2: 7, 3: 2}
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QuadSurd(1, 1, -2), ValueError, "negative radicand"),
+        (lambda: QuadSurd(0, 1, 2) + QuadSurd(0, 1, 3), ValueError, "incompatible radicands"),
+        (lambda: QuadSurd(0, 1, 2) * QuadSurd(0, 1, 3), ValueError, "incompatible radicands"),
+        (lambda: RatFunc(Poly.one(), Poly.zero()), ZeroDivisionError, "zero denominator"),
+        (lambda: RatFunc(Poly.x()) / RatFunc(0), ZeroDivisionError, "division by the zero rational function"),
+        (lambda: RatFunc(1, Poly.x()).as_poly(), ValueError, "is a proper rational function"),
+        (lambda: Poly.x() ** -1, ValueError, "exponent must be a nonnegative integer"),
+        (lambda: Poly.x() / 0, ZeroDivisionError, "division by zero"),
+        (lambda: poly_gcd(Poly.zero(), Poly.zero()), ValueError, "gcd of two zero polynomials"),
+        (lambda: factor_int(0), ValueError, "cannot factor zero"),
+        (lambda: factor_integer_rooted(Poly.zero()), ValueError, "cannot factor the zero polynomial"),
+        (lambda: taylor_div(Poly.one(), Poly.x(), 3), ZeroDivisionError, "denominator vanishes"),
+    ],
+)
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_ratfunc_normalizes():
     f = RatFunc(Poly([0, 2]), Poly([0, 0, 4]))     # 2x / 4x^2 = 1/(2x)
     assert f == RatFunc(Poly([F(1, 2)]), Poly([0, 1]))

@@ -210,6 +210,15 @@ def test_identify_quadratic_hint_block_reports_its_triple():
     assert report["exhaustive"] is False
 
 
+def test_identify_hint_blocks_sharing_a_factor_list_each_split_once():
+    # (n^2+n, n^2+n) comes from two exponent vectors of the hint
+    r = run_cli("identify", "--a", "2n^2+3n+2", "--b", "-n^4-2n^3-n^2", "--b-factored", "-(n^2+n)*(n)*(n+1)")
+    assert r.returncode == 0
+    splits = [(x["h1"], x["h2"]) for x in json.loads(r.stdout)["rejections"]]
+    assert len(splits) == 7
+    assert splits.count((["0", "1", "1"], ["0", "1", "1"])) == 1
+
+
 @pytest.mark.parametrize("argv", [
     # A^2 + 4 = 10^60 + 14*10^30 + 53 for A = 10^30 + 7
     ("limit", "--a", str(10**30 + 7), "--b", "1"),

@@ -20,6 +20,7 @@ from polycf import (
     ZeroScaler,
     build_euler_cf,
     cf_value,
+    convergents,
     equivalence_transform,
     euler_partial_value,
     euler_sum,
@@ -86,14 +87,53 @@ def test_degenerate_term_eager():
         euler_sum_to_cf([Fraction(2), Fraction(-1), Fraction(3)])
 
 
-def test_degenerate_term_lazy():
-    def r(i):
-        return Fraction(-1) if i == 4 else Fraction(1, i)
+# r and the least index i >= 1 with r(i) = -1: past a zero r(2), at 1, the
+# lesser of two, and everywhere; then none, with a zero r(2), r(3) or r(1)
+# (where r(0) = -1) or none, and in "2n-4" a root 3/2 of r + 1
+POLY_RS = [
+    ("-1/3n+2/3", 5), ("n-2", 1), ("n^2-5n+5", 2), ("-1", 1),
+    ("n^2-4n+4", None), ("-n^2+3n", None), ("n-1", None), ("2n-4", None),
+    ("n^2+1/2", None), ("3/2", None),
+]
 
-    cf = euler_sum_to_cf(r)  # lazy: no error yet
-    assert cf_value(cf, 3)  # fine below the bad index
-    with pytest.raises(DegenerateTerm):
-        cf_value(cf, 4)
+
+@pytest.mark.parametrize("text, index", POLY_RS)
+def test_poly_form_matches_its_list_of_first_values(text, index):
+    # a Poly r raises the DegenerateTerm(i) of its list of first values;
+    # otherwise its CF has the list's values at every depth
+    r = parse_poly(text)
+    rs = [r(Fraction(i)) for i in range(1, 21)]
+    if index is not None:
+        for seq in (r, rs):
+            with pytest.raises(DegenerateTerm) as exc:
+                euler_sum_to_cf(seq)
+            assert exc.value.index == index
+        return
+    cf = euler_sum_to_cf(r)
+    assert cf == CFSpec(b=-r, a=r + 1)
+    for n in range(21):
+        assert cf_value(cf, n) == cf_value(euler_sum_to_cf(rs), n)
+        assert euler_sum(r, n) == euler_sum(rs, n) == 1 / (1 + cf_value(cf, n))
+
+
+def test_a_callable_is_not_a_coefficient_sequence():
+    def r(i):
+        return Fraction(1, i)
+
+    cf = CFSpec(b=r, a=Poly.one())
+    for call in (
+        lambda: cf_value(cf, 3),
+        lambda: cf_value(CFSpec(b=Poly.one(), a=r), 3),
+        lambda: list(convergents(cf)),
+        lambda: euler_sum(r, 3),
+        lambda: euler_sum_to_cf(r),
+        lambda: equivalence_transform(r, [1, 1], [1, 1, 1], n=2),
+        lambda: equivalence_transform([1, 1], r, [1, 1, 1], n=2),
+        lambda: equivalence_transform([1, 1], [1, 1], r, n=2),
+        lambda: equivalence_transform(r, X, X + 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_eager_form_reads_each_term_once_in_order():
@@ -156,6 +196,11 @@ def test_equivalence_zero_scaler():
         equivalence_transform([1, 1], [1, 1], [1, 0, 1], n=2)
 
 
+def test_polynomial_mode_needs_three_polys():
+    with pytest.raises(TypeError, match="polynomial mode needs b, a, c as Polys"):
+        equivalence_transform([1, 1], X, X + 1)
+
+
 def test_short_explicit_sequences_are_invalid_input():
     with pytest.raises(InvalidInput, match="r has 2 terms, needed 3"):
         euler_sum([1, 2], 3)
@@ -174,8 +219,8 @@ def test_equivalence_sequence_mode_matches_poly_mode():
 
 @pytest.mark.parametrize("shift", [0, 1, 2])
 def test_equivalence_sequence_mode_reads_lists_at_the_shift(shift):
-    # the tail from index shift + 1 on, passed shifted in each of the
-    # three forms: a Poly, a callable, a list
+    # the tail from index shift + 1 on, passed shifted in each of the two
+    # forms: a Poly and a list
     b, a, c = parse_poly("n^2"), parse_poly("2n+1"), parse_poly("n+3")
     n = 6
     bl = [b(Fraction(i)) for i in range(shift + 1, n + shift + 1)]
@@ -184,7 +229,6 @@ def test_equivalence_sequence_mode_reads_lists_at_the_shift(shift):
     assert want[0] == [c(Fraction(j - 1)) * c(Fraction(j)) * b(Fraction(j + shift)) for j in range(1, n + 1)]
     assert want[1] == [c(Fraction(j)) * a(Fraction(j + shift)) for j in range(1, n + 1)]
     assert equivalence_transform(bl, al, c, n=n) == want
-    assert equivalence_transform(lambda i: b(i + shift), lambda i: a(i + shift), c, n=n) == want
     b2, a2, scale = equivalence_transform(b.shift(shift), a.shift(shift), c)
     assert want == ([b2(Fraction(i)) for i in range(1, n + 1)], [a2(Fraction(i)) for i in range(1, n + 1)], scale)
     with pytest.raises(InvalidInput, match=f"b has {n - 1} terms, needed {n}"):
@@ -194,21 +238,16 @@ def test_equivalence_sequence_mode_reads_lists_at_the_shift(shift):
 def test_equivalence_shift_device_exponential_tail():
     # Scaling the tail (from index 2) of K (-1/i)/(1 + 1/i) with c(j) = j + 1
     # lands on K (-j)/(j+2): the e continued fraction reproduces itself.
-    def b_orig(i):
-        return Fraction(-1, i)
-
-    def a_orig(i):
-        return 1 + Fraction(1, i)
-
-    bs, as_, scale = equivalence_transform(
-        lambda i: b_orig(i + 1), lambda i: a_orig(i + 1), lambda j: j + 1, n=10
-    )
+    # The tail is passed as lists from position 1 on.
+    b_tail = [Fraction(-1, i) for i in range(2, 12)]
+    a_tail = [1 + Fraction(1, i) for i in range(2, 12)]
+    bs, as_, scale = equivalence_transform(b_tail, a_tail, [j + 1 for j in range(11)], n=10)
     assert scale == 1
     assert bs == [Fraction(-j) for j in range(1, 11)]
     assert as_ == [Fraction(j + 2) for j in range(1, 11)]
     # and the values agree with the original tail at every depth
-    tail = CFSpec(b=lambda i: b_orig(i + 1), a=lambda i: a_orig(i + 1))
-    for depth in range(1, 9):
+    tail = CFSpec(b=b_tail, a=a_tail)
+    for depth in range(1, 11):
         assert cf_value(tail, depth) == cf_value(CFSpec(b=bs, a=as_), depth)
 
 

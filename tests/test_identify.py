@@ -335,7 +335,9 @@ def test_search_recovers_constructed_triples(t):
     assert_sound(report, a, b)
 
 
-@pytest.mark.parametrize("variant", ["linear", "atomic", "factored", "rational", "rational_factored"])
+@pytest.mark.parametrize(
+    "variant", ["linear", "atomic", "factored", "rational", "rational_factored", "shared_factored"]
+)
 def test_examined_splits_match_reference_enumeration(variant):
     """identify examines exactly the splits of the pick-by-pick reference,
     stored exactly as the reference's Poly products are, and reports its
@@ -348,8 +350,10 @@ def test_examined_splits_match_reference_enumeration(variant):
     like any other.  The "rational" variants draw the roots among integers
     and fractions, so that blocks such as (2n+1)^m and (3n-1) are stored
     over a denominator, give b a content that is not an integer, and pass
-    the blocks as a hint or not.  a comes from a random split, so some
-    splits are solved and some rejected.
+    the blocks as a hint or not.  "shared_factored" adds a hint block
+    (n-r)(n-s) of two of the roots (r = s for one), so that several
+    exponent vectors give one split, which is examined once.  a comes from
+    a random split, so some splits are solved and some rejected.
     """
     rng = random.Random(f"splits-{variant}")
     rational = variant.startswith("rational")
@@ -363,6 +367,8 @@ def test_examined_splits_match_reference_enumeration(variant):
         if variant in ("atomic", "factored"):
             k = rng.randint(1, 2)
             blocks.append(((X**2 + 1) ** k, 1) if variant == "atomic" else (X**2 + 1, k))
+        if variant == "shared_factored":
+            blocks.append(((X - roots[0]) * (X - roots[-1]), rng.randint(1, 2)))
         h1 = h2 = ONE
         for p, m in blocks:
             e = rng.choice(range(m + 1))
@@ -376,17 +382,17 @@ def test_examined_splits_match_reference_enumeration(variant):
         report = identify(a, b, factored=factored)
 
         rejected = [(r.h1, r.h2) for r in report.rejections]
-        examined = {(t.h1.monic(), t.h2.monic()) for t in report.solutions}
-        examined.update(rejected)
+        examined = rejected + list({(t.h1.monic(), t.h2.monic()) for t in report.solutions})
         reference = reference_splits(blocks)
-        assert examined == set(reference)
+        # each split once, with solutions or with one rejection
+        assert sorted(examined, key=split_key) == reference
 
         def stored(split):
             return tuple((p.numerators, p.denominator) for p in split)
 
         assert {stored(s) for s in examined} == {stored(s) for s in reference}
         assert rejected == sorted(rejected, key=split_key)
-        assert report.exhaustive == (variant not in ("atomic", "factored"))
+        assert report.exhaustive == (variant not in ("atomic", "factored", "shared_factored"))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +429,26 @@ def test_atomic_hint_block_narrows_the_search():
     assert [r.reason for r in hinted.rejections] == [REASON_PATTERN] * 2
     # the same input splits fine when the factoring is left to the search
     assert len(identify(a, b).solutions) >= 3
+
+
+def test_a_split_of_hint_blocks_sharing_a_factor_is_examined_once(monkeypatch):
+    """-(n^2+n)(n)(n+1) gives the split (n^2+n, n^2+n) by two exponent
+    vectors; it is solved, or rejected, once."""
+    module = importlib.import_module("polycf.identify")
+    solve, systems = module.solve_f, []
+
+    def counting_solve(a, h1, h2, d):
+        systems.append((h1, h2))
+        return solve(a, h1, h2, d)
+
+    monkeypatch.setattr(module, "solve_f", counting_solve)
+    b, hint, h = parse_poly("-n^4-2n^3-n^2"), parse_factored("-(n^2+n)*(n)*(n+1)"), X**2 + X
+    solved = identify(parse_poly("2n^2+4n+2"), b, factored=hint)
+    assert solved.solutions == [trivial_triple(h, h)]
+    assert systems.count((h, h)) == 1
+    rejected = identify(parse_poly("2n^2+3n+2"), b, factored=hint).rejections
+    assert len(rejected) == len({(r.h1, r.h2) for r in rejected}) == 7
+    assert [r.reason for r in rejected if r.h1 == h] == [REASON_NO_DEGREE]
 
 
 def test_quadratic_hint_block_splits_between_h1_and_h2():

@@ -224,6 +224,10 @@ def test_cf_form_rejections():
         to_cf_form(PolyMat2(X, 1, 0, X))
     with pytest.raises(TypeError):
         to_cf_form(PolyMat2(RatFunc(ONE, X), 0, 1, 1))
+    with pytest.raises(ZeroCEntry):
+        to_integral_cf_form(PolyMat2(X, 1, 0, X))
+    with pytest.raises(TypeError):
+        to_integral_cf_form(PolyMat2(RatFunc(ONE, X), 0, 1, 1))
     with pytest.raises(InvalidInput):
         cf_form_states(PolyMat2(X, 1, 1, X), -1)
 

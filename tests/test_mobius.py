@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from polycf import (
     CFLimit,
     CFSpec,
-    DegenerateTerm,
     EulerTriple,
     InvalidInput,
     Mat2,
@@ -25,7 +24,6 @@ from polycf import (
     convergents,
     convergents_from_terms,
     euler_partial_value,
-    euler_sum_to_cf,
     parse_poly,
     product_apply,
     rederive_euler_sum,
@@ -227,14 +225,6 @@ def _scaled_back(cf, depth):
     )
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the type of the polycf error it raised."""
-    try:
-        return fn(*args)
-    except (InvalidInput, DegenerateTerm) as exc:
-        return type(exc)
-
-
 @settings(max_examples=150, deadline=None)
 @given(poly_cfs(), st.integers(0, 300))
 def test_tree_state_matches_stream(cf, depth):
@@ -275,63 +265,6 @@ def test_tree_state_on_explicit_lists(depth, zero_at):
         assert _scaled_back(cf, depth) == want
 
 
-def test_callable_degenerate_term_raises_at_the_same_term():
-    def b_at(calls):
-        def b(i):
-            calls.append(i)
-            if i == 20:
-                raise DegenerateTerm(i)
-            return i
-        return b
-
-    for depth in (18, 19, 20, 21):
-        tree_calls, stream_calls = [], []
-        tree, stream = CFSpec(b=b_at(tree_calls), a=Poly.x()), CFSpec(b=b_at(stream_calls), a=Poly.x())
-        got = _outcome(_scaled_back, tree, depth)
-        assert got == _outcome(lambda: _fields(reference_state_at(stream, depth)))
-        assert (got is DegenerateTerm) == (depth >= 20)
-        assert tree_calls == stream_calls == list(range(1, min(depth, 20) + 1))
-
-
-def test_a_cf_is_not_read_past_a_zero_b():
-    # b(3) = 0 truncates the CF and b(5) raises: the stream reads terms 1 to
-    # 3 and stops, and so must every reader of the tree, whose chunks of a
-    # callable CF hold up to _BATCH terms
-    def b_at(calls):
-        def b(i):
-            calls.append(i)
-            if i == 5:
-                raise DegenerateTerm(i)
-            return 0 if i == 3 else i
-        return b
-
-    for depth in (2, 3, 4, 10, _BATCH + 1):
-        reads = {}
-        for name, read in (
-            ("stream", lambda cf: _fields(reference_state_at(cf, depth))),
-            ("tree", lambda cf: _scaled_back(cf, depth)),
-            ("value", lambda cf: cf_value(cf, depth)),
-            ("apply", lambda cf: product_apply(cf, depth, Fraction(1, 3))),
-        ):
-            calls = reads[name] = []
-            read(CFSpec(b=b_at(calls), a=Poly.x()))
-        assert all(calls == list(range(1, min(depth, 3) + 1)) for calls in reads.values())
-    # the same through euler_sum_to_cf: r(2) = 0 zeroes b(2), r(5) = -1
-    # raises DegenerateTerm(5) when it is read
-    cf = euler_sum_to_cf(parse_poly("-1/3n+2/3"))
-    assert cf_value(cf, 10) == reference_cf_value(cf, 10) == reference_cf_value(cf, 2)
-
-
-def test_a_deep_callable_cf_with_int_terms_is_stripped(monkeypatch):
-    # a callable reaches the tree in chunks of ints, which it strips as it
-    # strips the same CF given by Polys
-    apery = CFSpec(b=lambda i: -(i**6), a=lambda i: 34 * i**3 + 51 * i**2 + 27 * i + 5)
-    want = cf_value(APERY, 2048)
-    with _tree_gcds(monkeypatch) as gcds:
-        assert cf_value(apery, 2048) == want
-    assert any(g.bit_length() >= mobius._STRIP_STOP_BITS for g in gcds)
-
-
 def test_integral_poly_terms_are_ints():
     # the CF from index 2 on, reindexed to start at 1
     cf = CFSpec(b=parse_poly("-n^6").shift(1), a=parse_poly("34n^3+51n^2+27n+5").shift(1))
@@ -343,12 +276,14 @@ def test_integral_poly_terms_are_ints():
 
 
 def test_integral_list_and_callable_terms_are_ints():
-    # lists, callables and Polys with a denominator are read as Fractions;
-    # the integral ones reach the stream and the tree as ints
+    # lists and Polys with a denominator are read as Fractions; the integral
+    # ones reach the stream and the tree as ints.  A callable is not a
+    # coefficient sequence
     half = Fraction(1, 2)
+    with pytest.raises(TypeError, match="cannot read a coefficient sequence from function"):
+        next(CFSpec(b=lambda i: i, a=[1, 2]).terms())
     for cf, want in (
         (CFSpec(b=[2, Fraction(4, 2), half], a=[Fraction(3), 5, 7]), [(2, 3), (2, 5), (half, 7)]),
-        (CFSpec(b=lambda i: i if i < 3 else half, a=lambda i: Fraction(i * i)), [(1, 1), (2, 4), (half, 9)]),
         (CFSpec(b=parse_poly("1/2n^2+1/2n"), a=parse_poly("1/2n")), [(1, half), (3, 1), (6, Fraction(3, 2))]),
     ):
         terms = list(itertools.islice(cf.terms(), 3))
@@ -412,10 +347,9 @@ _TAILS = [(1, 0, 0, 1), _LAST_COLUMN, (0, 1, 0, 1), (0, 7, 0, -3), (0, 1, 0, 0)]
 )
 def test_tree_product_times_tail(count):
     terms = _companion_terms(count, count)
-    full = _tree_product(_leaves(terms))
-    assert full == _tree_product(_leaves(terms), (1, 0, 0, 1))
+    full = _tree_product(_leaves(terms), _IDENTITY, False)
     for tail in _TAILS:
-        assert _tree_product(_leaves(terms), tail) == _mat_mul(full, tail)
+        assert _tree_product(_leaves(terms), tail, False) == _mat_mul(full, tail)
 
 
 @pytest.mark.parametrize("leaves", [2, 4, 8, 32])
@@ -433,11 +367,11 @@ def test_top_merge_multiplies_a_zero_first_column(monkeypatch, leaves):
 
     steps = [(-(i**6), 34 * i**3 + 51 * i**2 + 27 * i + 5) for i in range(1, _LEAF * leaves + 1)]
     monkeypatch.setattr(mobius, "_mat_mul", recording)
-    got = _tree_product(_leaves(steps), _LAST_COLUMN)
+    got = _tree_product(_leaves(steps), _LAST_COLUMN, False)
     top_left, top_right = max(calls, key=lambda c: min(bits(c[0]), bits(c[1])))
     assert (top_right[0], top_right[2]) == (0, 0)
     assert bits(top_left) > bits(got) // 3
-    assert got == _mat_mul(_tree_product(_leaves(steps)), _LAST_COLUMN)
+    assert got == _mat_mul(_tree_product(_leaves(steps), _IDENTITY, False), _LAST_COLUMN)
 
 
 # --- content stripping in the tree ---
@@ -509,8 +443,8 @@ def test_every_value_reader_strips_at_the_real_threshold(monkeypatch):
 
 def test_strip_removes_most_of_aperys_content():
     steps = list(itertools.islice(APERY.terms(), 4096))
-    raw = _tree_product(_leaves(steps), _LAST_COLUMN)
-    stripped = _tree_product(_leaves(steps), _LAST_COLUMN, strip=True)
+    raw = _tree_product(_leaves(steps), _LAST_COLUMN, False)
+    stripped = _tree_product(_leaves(steps), _LAST_COLUMN, True)
     assert raw[1] * stripped[3] == raw[3] * stripped[1]
     assert raw[3] % stripped[3] == 0 and raw[3] // stripped[3] > 0
     assert max(abs(x).bit_length() for x in stripped) < max(abs(x).bit_length() for x in raw) // 2
