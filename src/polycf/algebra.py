@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import InvalidInput, PolyParseError
+from .errors import PolyParseError
 
 
 def rat(x) -> Fraction:
@@ -74,130 +74,23 @@ def is_inf(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer helpers (factoring, squarefree parts, exact square roots)
+# small primes
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ...: the integers prime to every smaller prime."""
+    product = 1
+    for n in itertools.count(2):
+        if math.gcd(n, product) == 1:
+            product *= n
+            yield n
 
 
-def _is_probable_prime(n: int) -> bool:
-    # Miller-Rabin with the fixed prime bases 2 .. 41: deterministic for
-    # n < 3317044064679887385961981, the least strong pseudoprime to all of
-    # them; larger n get only a probable-prime answer
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# The most steps one Pollard rho search may take, counting every evaluation
-# of y -> y^2 + c.  It needs about sqrt(p) steps for the least prime factor
-# p: psi12 = 399165290221 * 798330580441 takes 450558.  On one x86-64 core
-# the cap is 0.5-0.7 s on a 127-200 bit number.
-_RHO_STEPS = 1 << 20
-# steps whose products |x - y| share one gcd
-_RHO_BATCH = 128
-
-
-def _pollard_rho(n: int) -> int | None:
-    # Brent's cycle search; n must be composite and odd.  x holds the walk
-    # at the start of each round; the round moves y on r steps, then r more
-    # while it multiplies up |x - y|, one gcd per batch, and doubles r.  A
-    # batch whose gcd is n is walked again one step at a time.  None once a
-    # round would pass _RHO_STEPS steps without a proper divisor.
-    steps = 0
-    for c in range(1, 100):
-        y, r, q, d = 2, 1, 1, 1
-        while d == 1:
-            if steps + 2 * r > _RHO_STEPS:
-                return None
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and d == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                d = math.gcd(q, n)
-                k += _RHO_BATCH
-            steps += r + min(k, r)
-            r *= 2
-        if d == n:
-            d = 1
-            while d == 1:
-                steps += 1
-                ys = (ys * ys + c) % n
-                d = math.gcd(abs(x - ys), n)
-        if d != n:
-            return d
-    return None
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.  factor_int(0) errors.
-
-    A composite part that Pollard's rho does not split within _RHO_STEPS
-    steps raises InvalidInput naming |n|; no partial factorization is
-    returned.
-    """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = whole = abs(n)
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend((root, root))
-            continue
-        d = _pollard_rho(m)
-        if d is None:
-            raise InvalidInput(f"cannot factor {whole} within {_RHO_STEPS} Pollard rho steps")
-        stack.extend((d, m // d))
-    return out
-
-
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Write |n| = m*m*d with d squarefree; returns (m, d).  n >= 0 expected."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0, 0
-    m, d = 1, 1
-    for p, e in factor_int(n).items():
-        m *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return m, d
+# QuadSurd takes the squares of the primes below this bound, P, out of a
+# radicand, then the rest if it is a perfect square
+_SQUARE_BOUND = 1000
+_PRIMORIAL = math.prod(itertools.takewhile(lambda p: p < _SQUARE_BOUND, _primes()))
 
 
 class _Exact:
@@ -234,12 +127,16 @@ class _Exact:
 
 
 class QuadSurd(_Exact):
-    """Exact number u + v*sqrt(d) with rational u, v and squarefree d >= 0.
+    """Exact number u + v*sqrt(d) with rational u, v and an int d >= 0.
 
     Normalization folds d in {0, 1} (and v = 0) back into the rational case,
-    where the stored form is (u, 0, 0).  Arithmetic is closed as long as both
-    operands share the same radicand; mixing distinct irrational radicands
-    raises ValueError.
+    where the stored form is (u, 0, 0), and moves square factors of d into
+    v with no integer factoring: the squares of the primes below P = 1000,
+    then the rest of d if it is a perfect square.  So d is squarefree when
+    d < P^3; a larger d with the square of a prime >= P keeps that square,
+    and prints unreduced.  The key of an irrational value is (u, sign v,
+    v^2 d), canonical all the same.  Arithmetic needs compatible radicands,
+    d d' a perfect square; mixing incompatible ones raises ValueError.
 
     >>> r = QuadSurd(Fraction(1, 2), Fraction(1, 2), 5)
     >>> r * r - r            # golden ratio satisfies x^2 - x - 1 = 0
@@ -257,8 +154,18 @@ class QuadSurd(_Exact):
         if d < 0:
             raise ValueError("negative radicand")
         if d and v:
-            m, d = squarefree_split(d)
-            v *= m
+            while True:
+                g = math.gcd(d, _PRIMORIAL)  # the primes below P that divide d
+                h = math.gcd(d // g, g)  # those that divide it twice
+                if h == 1:
+                    break
+                d //= h * h
+                v *= h
+            # the rest d/g has only primes >= P: if it is not a square but has
+            # a square factor q^2, then d >= q^2 P >= P^3
+            r = math.isqrt(d // g)
+            if r * r == d // g:
+                d, v = g, v * r
         if d in (0, 1):
             u += v * d
             v = Fraction(0)
@@ -305,14 +212,23 @@ class QuadSurd(_Exact):
             return QuadSurd(other)
         return None
 
+    def _common(self, o) -> tuple:
+        """(d, v, w) with self = u + v sqrt(d) and o = o.u + w sqrt(d)."""
+        if not (self.d and o.d) or self.d == o.d:
+            return self.d or o.d, self.v, o.v
+        s = math.isqrt(self.d * o.d)
+        if s * s != self.d * o.d:
+            raise ValueError("incompatible radicands")
+        if self.d < o.d:
+            return self.d, self.v, o.v * Fraction(s, self.d)
+        return o.d, self.v * Fraction(s, o.d), o.v
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.d and o.d and self.d != o.d:
-            raise ValueError("incompatible radicands")
-        d = self.d or o.d
-        return QuadSurd(self.u + o.u, self.v + o.v, d)
+        d, v, w = self._common(o)
+        return QuadSurd(self.u + o.u, v + w, d)
 
     __radd__ = __add__
 
@@ -323,17 +239,13 @@ class QuadSurd(_Exact):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.d and o.d and self.d != o.d:
-            raise ValueError("incompatible radicands")
-        d = self.d or o.d
-        u = self.u * o.u + self.v * o.v * d
-        v = self.u * o.v + self.v * o.u
-        return QuadSurd(u, v, d)
+        d, v, w = self._common(o)
+        return QuadSurd(self.u * o.u + v * w * d, self.u * w + v * o.u, d)
 
     __rmul__ = __mul__
 
     def _key(self):
-        return self.u if self.v == 0 else (self.u, self.v, self.d)
+        return self.u if self.v == 0 else (self.u, self.v > 0, self.v * self.v * self.d)
 
     def __repr__(self):
         return f"QuadSurd({self.u}, {self.v}, {self.d})"
@@ -605,42 +517,20 @@ class Poly(_Exact):
         return acc
 
     def __divmod__(self, other):
-        """Division with remainder over Q, as a pseudo-division on ints:
-        each step scales the running remainder just enough that its top
-        coefficient is a multiple of the divisor's, keeping
-        scale * N = quo * M + rem for the numerators N of self and M of
-        other."""
+        """Division with remainder over Q, as a pseudo-division on ints
+        (see _pseudo_divmod)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, M = list(self.numerators), o.numerators
-        dn, dd = len(rem) - 1, len(M) - 1
-        if dn < dd:
-            return Poly.zero(), self
-        lead = M[-1]
-        quo = [0] * (dn - dd + 1)
-        scale = 1
-        for k in range(dn - dd, -1, -1):
-            c = rem[k + dd]
-            if not c:
-                continue
-            g = math.gcd(c, lead)
-            fac, c = lead // g, c // g
-            if fac != 1:
-                rem = [r * fac for r in rem]
-                quo = [q * fac for q in quo]
-                scale *= fac
-            quo[k] = c
-            for j, m in enumerate(M, k):
-                rem[j] -= c * m
+        quo, rem, scale = _pseudo_divmod(self.numerators, o.numerators)
         # self = (quo E / (scale D)) other + rem / (scale D)
         den = scale * self.denominator
         E = o.denominator if den > 0 else -o.denominator
         return (
             Poly._make([q * E for q in quo], abs(den)),
-            Poly._make(rem[:dd] if den > 0 else [-r for r in rem[:dd]], abs(den)),
+            Poly._make(rem if den > 0 else [-r for r in rem], abs(den)),
         )
 
     def __floordiv__(self, other):
@@ -736,14 +626,56 @@ class Poly(_Exact):
         return " ".join(parts)
 
 
+def _pseudo_divmod(N, M) -> tuple[list, list, int]:
+    """(quo, rem, scale) with scale N = quo M + rem, rem shorter than M, for
+    int coefficient lists, lowest power first (M with no trailing zero).
+    Each step scales by just enough that M's lead divides the top
+    coefficient, so scale is 1 when M divides N over the integers."""
+    rem = list(N)
+    dn, dd = len(rem) - 1, len(M) - 1
+    lead = M[-1]
+    quo = [0] * (dn - dd + 1)
+    scale = 1
+    for k in range(dn - dd, -1, -1):
+        c = rem[k + dd]
+        if not c:
+            continue
+        g = math.gcd(c, lead)
+        fac, c = lead // g, c // g
+        if fac != 1:
+            rem = [r * fac for r in rem]
+            quo = [q * fac for q in quo]
+            scale *= fac
+        quo[k] = c
+        for j, m in enumerate(M, k):
+            rem[j] -= c * m
+    del rem[dd:]
+    return quo, rem, scale
+
+
+def _primitive_gcd(a: list, b: list) -> list:
+    """gcd of two int coefficient lists (lowest power first, not both empty,
+    a with no trailing zero), primitive with a positive lead, by the
+    remainder sequence, each pseudo-remainder divided by its content."""
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if len(b) <= 1:
+            break
+        g = math.gcd(*b)
+        b = [c // g for c in b]
+        a, b = b, _pseudo_divmod(a, b)[1]
+    if b:
+        return [1]
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // g for c in a]
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q; gcd(0, 0) errors."""
+    """Monic gcd over Q, from the int numerators; gcd(0, 0) errors."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return Poly._make(_primitive_gcd(list(p.numerators), list(q.numerators))).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -924,47 +856,60 @@ def assemble_factored(const: Fraction, blocks: list[tuple[Poly, int]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(factors: dict[int, int]):
-    """The divisors of the number whose factor_int is `factors`, one at a
-    time, 1 first."""
-    powers = [[p**k for k in range(e + 1)] for p, e in factors.items()]
-    for combo in itertools.product(*powers):
-        yield math.prod(combo)
-
-
 def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     """Rational roots of a nonzero p with multiplicities, keys in ascending
-    order, and the monic quotient of p by every (x - r)^m.
+    order, and the monic quotient of p by every (x - r)^m, with no integer
+    factoring (Loos, "Computing rational zeros of integral polynomials by
+    p-adic expansion", SIAM J. Comput. 12, 1983).
 
-    Works on the primitive integer numerators of p: a root s/t is tested by
-    horner and divided out as the integer factor (t x - s) by synthetic
-    division (exact, by Gauss's lemma).  The search ends once the quotient
-    is linear, whose root is read off, or constant."""
+    On the primitive integer numerators f of p, the root at 0 stripped: the
+    squarefree part q of f (f over gcd(f, f')), of lead c and degree d, has
+    the roots of f, and they are y/c for the integer roots y of the monic
+    h(y) = c^(d-1) q(y/c), each a divisor of h(0).  At the least prime at
+    which every root of h is simple (only divisors of its discriminant are
+    not), Newton's method lifts each root to one mod a prime power above
+    2|h(0)|, whose symmetric residue is the one candidate y.  Each candidate
+    s/t is tested by horner and divided out of f as the factor (t x - s) by
+    synthetic division (exact, by Gauss's lemma) as often as it divides,
+    until the quotient is linear, whose root is read off, or constant."""
     desc = list(p.numerators[::-1])
     # strip the root at zero
     zmult = 0
     while desc[-1] == 0:
         desc.pop()
         zmult += 1
-    found: dict[Fraction, int] = {Fraction(0): zmult} if zmult else {}
+    # (s, t, multiplicity) for each root s/t, each found once, as ints
+    found = [(0, 1, zmult)] if zmult else []
     if len(desc) > 2:
         g = math.gcd(*desc)
         desc = [c // g for c in desc]
-        # candidates s/t in lowest terms, s | a0 and t | ad; the order they
-        # are tried in changes neither the multiplicities nor the quotient.
-        # Each coefficient is factored once, and its divisors are generated
-        # as the search asks for them.
-        lead, const = factor_int(desc[0]), factor_int(desc[-1])
-        candidates = (
-            (s, t)
-            for num in _divisors(const)
-            for t in _divisors(lead)
-            if math.gcd(num, t) == 1
-            for s in (num, -num)
-        )
-        for s, t in candidates:
+        f, d = desc[::-1], len(desc) - 1
+        # gcd(f, f') = gcd(f', d f - x f'), whose coefficients are (d - i) f_i
+        g = _primitive_gcd([i * c for i, c in enumerate(f)][1:], [(d - i) * c for i, c in enumerate(f)])
+        q = _pseudo_divmod(f, g)[0] if len(g) > 1 else f
+        c, d = q[-1], len(q) - 1
+        # h, highest power first: q's coefficient of y^i times c^(d-1-i)
+        h, k = [1], 1
+        for x in q[-2::-1]:
+            h.append(x * k)
+            k *= c
+        dh = [(d - i) * x for i, x in enumerate(h[:-1])]
+        bound = 2 * abs(h[-1])
+        for prime in _primes():
+            ys = [y for y in range(prime) if horner(h, y) % prime == 0]
+            if all(horner(dh, y) % prime for y in ys):
+                break
+        for y in ys:
             if len(desc) <= 2:
                 break
+            m = prime
+            while m <= bound:
+                m *= m
+                y = (y - horner(h, y) * pow(horner(dh, y), -1, m)) % m
+            y = y - m if 2 * y > m else y
+            g = math.gcd(y, c) if c > 0 else -math.gcd(y, c)
+            s, t = y // g, c // g
+            m = 0
             while horner(desc, s, t) == 0:
                 # desc = (t x - s) * quotient, from the top down
                 acc = 0
@@ -972,13 +917,18 @@ def _root_split(p: Poly) -> tuple[dict[Fraction, int], Poly]:
                     acc = (desc[k] + s * acc) // t
                     desc[k] = acc
                 desc.pop()
-                r = Fraction(s, t)
-                found[r] = found.get(r, 0) + 1
+                m += 1
+            if m:
+                found.append((s, t, m))
     if len(desc) == 2:
-        r = Fraction(-desc[1], desc[0])
-        found[r] = found.get(r, 0) + 1
+        found.append((-desc[1], desc[0], 1))
         desc = [1]
-    return dict(sorted(found.items())), Poly._make(desc[::-1]).monic()
+    # ascending s/t is ascending s L/t, over the lcm L of the t
+    lcm = math.lcm(*(t for _, t, _ in found))
+    found.sort(key=lambda r: r[0] * (lcm // r[1]))
+    lead = desc[0]
+    residual = Poly._make(desc[::-1] if lead > 0 else [-c for c in reversed(desc)], abs(lead))
+    return {Fraction(s, t): m for s, t, m in found}, residual
 
 
 def rational_roots(p: Poly) -> dict[Fraction, int]:

@@ -299,8 +299,9 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
 
     ``factored`` optionally pre-factors b as (constant, [(block, mult), ...])
     from :func:`polycf.algebra.parse_factored`.  Without it, -b is factored
-    over its rational roots and any rootless residual of degree >= 2 becomes
-    one block of multiplicity 1.  Each block p^m goes to h1 as p^e and to h2
+    over its rational roots, which polycf.algebra.rational_roots finds by
+    p-adic lifting with no integer factoring, and any rootless residual of
+    degree >= 2 becomes one block of multiplicity 1.  Each block p^m goes to h1 as p^e and to h2
     as p^(m-e), for every e in 0..m.
 
     The report lists every verified triple, the rejected decompositions with
@@ -309,8 +310,6 @@ def identify(a: Poly, b: Poly, factored=None) -> IdentifyReport:
     that were not visited, or when a candidate deg f was above MAX_F_DEGREE.
     Such a degree is not solved at; a decomposition with one and no
     solution gets the rejection "f degree above the search budget".
-    Factoring the integer coefficients of -b has a budget too
-    (see polycf.algebra.factor_int); past it, identify raises InvalidInput.
     """
     if a.is_zero or b.is_zero:
         raise InvalidInput("a and b must be nonzero")

@@ -596,6 +596,6 @@ def constant_cf_limit(A, B) -> CFLimit:
     if disc < 0:
         return CFLimit(CFLimit.OSCILLATES)
     s = 1 if A > 0 else -1
-    # sqrt(num/den) = sqrt(num den)/den: one QuadSurd, one squarefree split
+    # sqrt(num/den) = sqrt(num den)/den: one QuadSurd, one split of its radicand
     num, den = disc.numerator, disc.denominator
     return CFLimit(CFLimit.CONVERGES, QuadSurd(-A / 2, Fraction(s, 2 * den), num * den))

@@ -37,7 +37,11 @@ the root lists the summand is built from.
 
 RefPoly is the polynomial type as it was on Fraction coefficients, the
 oracle for polycf.algebra.Poly, which computes on int numerators over one
-denominator.
+denominator.  reference_rational_roots is the oracle for
+polycf.algebra.rational_roots and factor_integer_rooted: it tries every
+divisor pair s/t of the constant and the leading coefficient, found by
+trial division (fine for small coefficients), where polycf lifts the roots
+of one polynomial p-adically and factors no integer.
 """
 
 import itertools
@@ -60,6 +64,49 @@ from polycf.errors import InvalidInput, PoleInFormula, PolycfError
 from polycf.limits import LimitEstimate, ZetaCombo, telescoped_summand
 from polycf.matforms import to_cf_form
 from polycf.mobius import CFSpec, ConvergentState, Mat2
+
+
+def trial_factor(n: int) -> dict:
+    """{prime: exponent} for an int n != 0, by trial division."""
+    n, factors, k = abs(n), {}, 2
+    while n > 1:
+        if k * k > n:
+            k = n
+        while n % k == 0:
+            n //= k
+            factors[k] = factors.get(k, 0) + 1
+        k += 1
+    return factors
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of an int n != 0."""
+    divisors = [1]
+    for p, e in trial_factor(n).items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return divisors
+
+
+def reference_rational_roots(p: Poly) -> tuple[dict, Poly]:
+    """(roots, residual) for a nonzero p: its rational roots with
+    multiplicities, ascending, and the monic quotient of p by every
+    (x - r)^m.  Each s/t with s dividing the lowest nonzero coefficient of
+    p's primitive numerators and t the leading one is tested at a Fraction
+    and divided out by Poly division, as often as it divides."""
+    x = Poly.x()
+    roots: dict = {}
+    while p.degree and p.coeff(0) == 0:
+        p = p // x
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    nums = p.numerators
+    g = math.gcd(*nums)
+    for s in _divisors(nums[0] // g):
+        for t in _divisors(nums[-1] // g):
+            for r in (Fraction(s, t), Fraction(-s, t)):
+                while p.degree and p(r) == 0:
+                    p = p // Poly((-r, 1))
+                    roots[r] = roots.get(r, 0) + 1
+    return dict(sorted(roots.items())), p.monic()
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

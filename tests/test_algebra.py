@@ -22,7 +22,6 @@ from polycf.algebra import (
     RatFunc,
     assemble_factored,
     eval_range,
-    factor_int,
     factor_integer_rooted,
     first_zero,
     horner,
@@ -31,14 +30,12 @@ from polycf.algebra import (
     poly_gcd,
     rational_roots,
     rat,
-    squarefree_split,
     taylor_div,
 )
-from polycf.algebra import _BATCH, MAX_EXPONENT, _is_probable_prime, _pollard_rho
+from polycf.algebra import _BATCH, _SQUARE_BOUND, MAX_EXPONENT
 from polycf.limits import numeric_limit
 from polycf.mobius import CFSpec, Mat2, constant_cf_limit
-from polycf import algebra
-from polycf.errors import InvalidInput, PolyParseError
+from polycf.errors import PolyParseError
 
 F = Fraction
 
@@ -274,10 +271,10 @@ def test_sqrt_fraction_oracle():
 
 
 def test_squarefree_split_oracle():
-    assert squarefree_split(1152) == (24, 2)   # 34^2 - 4
-    assert squarefree_split(49) == (7, 1)
-    assert squarefree_split(1) == (1, 1)
-    assert factor_int(1152) == {2: 7, 3: 2}
+    assert QuadSurd(0, 1, 1152) == QuadSurd(0, 24, 2)   # 34^2 - 4 = 24^2 * 2
+    assert repr(QuadSurd(0, 1, 1152)) == "QuadSurd(0, 24, 2)"
+    assert QuadSurd(1, 1, 49) == QuadSurd(8)
+    assert QuadSurd(0, 2, 1) == QuadSurd(2)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +289,6 @@ def test_squarefree_split_oracle():
         (lambda: Poly.x() ** -1, ValueError, "exponent must be a nonnegative integer"),
         (lambda: Poly.x() / 0, ZeroDivisionError, "division by zero"),
         (lambda: poly_gcd(Poly.zero(), Poly.zero()), ValueError, "gcd of two zero polynomials"),
-        (lambda: factor_int(0), ValueError, "cannot factor zero"),
         (lambda: factor_integer_rooted(Poly.zero()), ValueError, "cannot factor the zero polynomial"),
         (lambda: taylor_div(Poly.one(), Poly.x(), 3), ZeroDivisionError, "denominator vanishes"),
     ],
@@ -392,7 +388,7 @@ def test_assemble_factored_round_trip():
 
 # -- the integer-coefficient Poly against the Fraction reference ------------
 
-from _reference import RefPoly, rational_sqrt  # noqa: E402
+from _reference import RefPoly, rational_sqrt, reference_rational_roots, trial_factor  # noqa: E402
 from _strategies import coeff_lists, small_fractions  # noqa: E402
 
 scalars = st.one_of(st.integers(-30, 30), small_fractions)
@@ -572,16 +568,8 @@ def test_poly_zero_and_constants_compare_and_hash():
 # psi_12, the least strong pseudoprime to every prime base 2 .. 37
 PSI12 = 318665857834031151167461
 PSI12_FACTORS = (399165290221, 798330580441)
-
-
-def test_psi12_is_not_a_probable_prime():
-    assert PSI12 == PSI12_FACTORS[0] * PSI12_FACTORS[1]
-    assert not _is_probable_prime(PSI12)
-    assert all(_is_probable_prime(p) for p in PSI12_FACTORS)
-
-
-def test_factor_int_splits_psi12():
-    assert factor_int(PSI12) == {p: 1 for p in PSI12_FACTORS}
+# a semiprime with two prime factors of 31 and 33 digits
+SEMIPRIME = (10**30 + 57) * (10**32 + 49)
 
 
 def test_rational_roots_with_a_psi12_coefficient():
@@ -590,25 +578,20 @@ def test_rational_roots_with_a_psi12_coefficient():
     assert roots == {F(p): 1, F(q): 1}
 
 
-def test_pollard_rho_splits_small_semiprimes():
-    # with both primes small, one batch of steps often closes both cycles,
-    # so its gcd is n and the batch is walked again one step at a time
-    primes = [p for p in range(43, 600) if _is_probable_prime(p)]
-    rng = random.Random(17)
-    for _ in range(300):
-        p, q = rng.sample(primes, 2)
-        assert _pollard_rho(p * q) in (p, q)
+def test_roots_next_to_a_semiprime_constant_term():
+    # (x + N)(x + 1)(3x - 7)^2: no integer here is factored
+    x = Poly.x()
+    p = (x + SEMIPRIME) * (x + 1) * (3 * x - 7) ** 2
+    want = {F(-SEMIPRIME): 1, F(-1): 1, F(7, 3): 2}
+    assert rational_roots(p) == want
+    assert factor_integer_rooted(p) == (F(9), [(x - r, m) for r, m in want.items()], Poly.one())
 
 
-def test_factoring_past_the_rho_budget_raises(monkeypatch):
-    # psi12 takes 450558 rho steps; under a budget of 1000 nothing partial
-    # comes back, from factor_int or from the root search that calls it
-    monkeypatch.setattr(algebra, "_RHO_STEPS", 1000)
-    with pytest.raises(InvalidInput, match=f"cannot factor {7 * PSI12} "):
-        factor_int(7 * PSI12)
-    p, q = PSI12_FACTORS
-    with pytest.raises(InvalidInput):
-        rational_roots(Poly([PSI12, -(p + q), 1]))
+def test_a_constant_term_with_many_divisors_has_no_root_quickly():
+    # 30! has about 2.3 million divisors
+    start = time.process_time()
+    assert rational_roots(Poly([math.factorial(30), 0, 0, 1])) == {}
+    assert time.process_time() - start < 0.1
 
 
 # monic, with no rational root, and so are their products
@@ -617,15 +600,25 @@ ROOTLESS = [Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([-2, 0, 1]), Poly([-2, 0, 0, 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=5), max_size=6),
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=-12, max_value=12, max_denominator=5),
+            st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+        ),
+        max_size=6,
+    ),
     st.lists(st.sampled_from(ROOTLESS), max_size=2),
     st.fractions(max_denominator=7).filter(bool),
     st.integers(1, 720720**2),
+    st.lists(st.integers(-4, 4), max_size=3),
 )
-def test_roots_and_residual_match_the_planted_ones(roots, rootless, content, scale):
-    """Planted roots (repeats and 0 among them) times rootless factors times
-    a content with a large integer part: the roots come back with their
-    multiplicities and the rootless product as the monic residual."""
+def test_roots_and_residual_match_the_planted_ones(roots, rootless, content, scale, extra):
+    """Planted roots (repeats, 0 and large denominators among them) times
+    rootless factors times a content with a large integer part: the roots
+    come back with their multiplicities and the rootless product as the
+    monic residual.  Where the coefficients are small (up to three of the
+    small planted roots, the rootless factors and a factor `extra` with
+    unknown roots) they match the divisor search of reference_rational_roots."""
     residual = math.prod(rootless, start=Poly.one())
     p = Poly.const(content * scale) * residual
     for r in roots:
@@ -634,11 +627,16 @@ def test_roots_and_residual_match_the_planted_ones(roots, rootless, content, sca
     assert rational_roots(p) == want
     c, factors, res = factor_integer_rooted(p)
     assert (c, factors, res) == (content * scale, [(Poly((-r, 1)), m) for r, m in want.items()], residual)
+    small = [Poly((-r, 1)) for r in roots if r.denominator <= 5 and abs(r.numerator) <= 60][:3]
+    q = math.prod(small, start=residual * (Poly(extra) or Poly.one()))
+    want, residual = reference_rational_roots(q)
+    assert rational_roots(q) == want
+    assert factor_integer_rooted(q) == (q.lead, [(Poly((-r, 1)), m) for r, m in want.items()], residual)
 
 
 def test_root_search_stops_at_a_linear_quotient():
-    # (x + (19!)^2)(x + 1): the constant term has 1590435 divisors, and the
-    # content c of c(x^2 + 1) has 3645; neither list is walked
+    # (x + (19!)^2)(x + 1), and c(x^2 + 1) for a content c with 3645
+    # divisors: quick, whatever the divisor counts
     start = time.monotonic()
     big = math.factorial(19) ** 2
     assert rational_roots(Poly([big, big + 1, 1])) == {F(-big): 1, F(-1): 1}
@@ -648,28 +646,51 @@ def test_root_search_stops_at_a_linear_quotient():
 
 
 def test_root_search_generates_the_leading_divisors_lazily():
-    # (N x + 1)(x + 1), N = (19!)^2: the root -1 comes from the first of the
-    # 1590435 divisors of the leading coefficient, so the rest are not built
+    # (N x + 1)(x + 1), N = (19!)^2, whose leading coefficient has 1590435
+    # divisors: quick, as no divisor is built
     big = math.factorial(19) ** 2
     start = time.process_time()
     assert rational_roots(Poly([1, big + 1, big])) == {F(-1): 1, F(-1, big): 1}
     assert time.process_time() - start < 0.05
 
 
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (10007 * 10009, {10007: 1, 10009: 1}),
-        (2**64 + 1, {274177: 1, 67280421310721: 1}),
-        (1000003**3, {1000003: 3}),
-    ],
-)
-def test_factor_int_with_only_large_prime_factors(n, expected):
-    # no prime factor is a trial divisor, so Pollard's rho finds them
-    factors = factor_int(n)
-    assert math.prod(p**e for p, e in factors.items()) == n
-    assert all(_is_probable_prime(p) for p in factors)
-    assert factors == expected
+def test_quad_surd_prints_squarefree_radicands_below_the_bound_cubed():
+    rng = random.Random(26)
+    cases = [rng.randrange(2, _SQUARE_BOUND**3) for _ in range(300)]
+    # squares of primes near and above the bound times a radicand whose
+    # primes are small: reduced too, whatever their size
+    cases += [q * q * d for q in (997, 1009, 1013, 30011) for d in (1, 2, 6, 997, 2 * 3 * 5 * 7 * 11 * 13)]
+    for n in cases:
+        factors = trial_factor(n).items()
+        m, d = math.prod(p ** (e // 2) for p, e in factors), math.prod(p ** (e % 2) for p, e in factors)
+        want = str(m) if d == 1 else ("" if m == 1 else f"{m}*") + f"sqrt({d})"
+        v = QuadSurd(0, 1, n)
+        assert str(v) == want, n
+        assert v == QuadSurd(0, m, d) and hash(v) == hash(QuadSurd(0, m, d))
+
+
+def test_quad_surd_with_an_unreduced_radicand():
+    # q^2 r >= P^3 for primes q, r >= P keeps its square factor, yet equals,
+    # hashes, adds and multiplies as q sqrt(r)
+    q, r = 1009, 1013
+    for n, reduced in ((q * q * 2, "1009*sqrt(2)"), (q * q * r, f"sqrt({q * q * r})")):
+        big, small = QuadSurd(F(1, 3), 1, n), QuadSurd(F(1, 3), q, n // (q * q))
+        assert str(QuadSurd(0, 1, n)) == reduced
+        assert big == small and hash(big) == hash(small)
+        assert big + small == 2 * small and big - small == 0
+        assert big * small == small * small == QuadSurd(F(1, 9) + q * q * (n // (q * q)), F(2, 3) * q, n // (q * q))
+        assert (big * big).sign() == 1 and (big - 1).sign() == small.sign()
+
+
+def test_quad_surd_equal_values_hash_equal():
+    rng = random.Random(7)
+    for _ in range(200):
+        u, v = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))
+        d, k = rng.randint(0, 50), rng.randint(1, 12)
+        x, y = QuadSurd(u, v, d), QuadSurd(u, v / k, d * k * k)
+        assert x == y and hash(x) == hash(y)
+        if x.v == 0:
+            assert x == x.u and hash(x) == hash(x.u)
 
 
 # -- the operators QuadSurd, Poly and RatFunc share ---------------------------

@@ -219,19 +219,54 @@ def test_identify_hint_blocks_sharing_a_factor_list_each_split_once():
     assert splits.count((["0", "1", "1"], ["0", "1", "1"])) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    # A^2 + 4 = 10^60 + 14*10^30 + 53 for A = 10^30 + 7
-    ("limit", "--a", str(10**30 + 7), "--b", "1"),
-    # the constant is (10^19 + 51)(10^19 + 1053)
-    ("identify", "--a", "2n+1", f"--b=-n^2-{(10**19 + 51) * (10**19 + 1053)}"),
-])
-def test_factoring_budget_ends_the_call_with_exit_1(argv):
+_SEMIPRIME_19 = (10**19 + 51) * (10**19 + 1053)
+_IDENTIFY_ROOTLESS = """{
+  "solutions": [],
+  "rejections": [
+    {
+      "h1": [
+        "1"
+      ],
+      "h2": [
+        "%d",
+        "0",
+        "1"
+      ],
+      "reason": "degree pattern inadmissible"
+    },
+    {
+      "h1": [
+        "%d",
+        "0",
+        "1"
+      ],
+      "h2": [
+        "1"
+      ],
+      "reason": "degree pattern inadmissible"
+    }
+  ],
+  "exhaustive": false
+}
+""" % (_SEMIPRIME_19, _SEMIPRIME_19)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    # A^2 + 4 = 10^60 + 14*10^30 + 53 for A = 10^30 + 7, a radicand with
+    # no prime factor below 1000
+    (
+        ("limit", "--a", str(10**30 + 7), "--b", "1"),
+        "converges\nroot: -1000000000000000000000000000007/2 + "
+        "1/2*sqrt(1000000000000000000000000000014000000000000000000000000000053)\n",
+    ),
+    # -b = n^2 + (10^19 + 51)(10^19 + 1053) has no rational root
+    (("identify", "--a", "2n+1", f"--b=-n^2-{_SEMIPRIME_19}"), _IDENTIFY_ROOTLESS),
+], ids=["limit", "identify"])
+def test_integers_with_large_prime_factors_end_the_call_with_exit_0(argv, stdout):
     start = time.monotonic()
     r = run_cli(*argv)
     assert time.monotonic() - start < 15
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr.startswith("error: InvalidInput: cannot factor ")
+    assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
 
 
 def test_limit_constant_cf_classifier():

@@ -780,6 +780,24 @@ def test_a_large_content_of_b_is_divided_out_before_the_root_search():
     assert [r.h1 for r in report.rejections] == [ONE, X**2 + 1]
 
 
+def test_b_with_a_semiprime_root_is_split_over_its_roots():
+    # -b = (n + N)(n + 1) for a semiprime N of 63 digits: the root search
+    # factors no integer, so the blocks are n + N and n + 1
+    N = (10**30 + 57) * (10**32 + 49)
+    a, b = 2 * X + 1, -(X + N) * (X + 1)
+    start = time.monotonic()
+    report = identify(a, b)
+    assert time.monotonic() - start < 1.0
+    assert report.solutions == [] and report.exhaustive is True
+    assert [(r.h1, r.h2) for r in report.rejections] == [
+        (ONE, (X + N) * (X + 1)),
+        (X + 1, X + N),
+        (X + N, X + 1),
+        ((X + N) * (X + 1), ONE),
+    ]
+    assert_sound(report, a, b)
+
+
 def test_zero_polynomials_are_invalid_input():
     with pytest.raises(InvalidInput, match="a, h1, h2 must be nonzero"):
         candidate_degrees(Poly.zero(), X, X + 1)
