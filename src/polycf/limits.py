@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .euler import EulerTriple
-from .mobius import CFSpec, _cleared, _scaled_value, convergents
+from .mobius import CFLimit, CFSpec, _cleared, _scaled_value, constant_cf_limit, convergents
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,32 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
     Checkpoints whose convergent is a pole are skipped for comparison, and
     one whose previous convergent x(2n - 1) is a pole (q_prev = 0) never
     ends the run: K n/0, whose convergents alternate between a pole and 0,
-    has no limit, though its checkpoints all read 0.
+    has no limit, though its checkpoints all read 0.  Nor does a CF that
+    _oscillates, whatever its checkpoints read: it runs to max_depth.
 
-    The stream walked is that of the cleared CF (b L^2, a L; see
-    polycf.mobius._cleared), whose states are plain ints for Poly
-    coefficients; a checkpoint reads head + p/(L q), one gcd per checkpoint
-    in place of one per term.
+    The states are those of the cleared CF (b L^2, a L; see
+    polycf.mobius._cleared), plain ints for Poly coefficients, read by
+    convergents(cleared, at=[8, 16, ..., max_depth]): the product tree
+    multiplies the steps between two checkpoints as one block, with no
+    Python call per term, and a checkpoint reads head + p/(L q), one gcd
+    per checkpoint.
     """
     eps = rat(eps)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
     L, cleared = _cleared(cf)
+    at, depth = [], 8
+    while depth < max_depth:
+        at.append(depth)
+        depth *= 2
+    at.append(max(max_depth, 0))
     checkpoint = 8
     prev = None
     last_val = None
     last_delta = None
     depth_seen = 0
-    for state in convergents(cleared):
+    oscillates = _oscillates(cf)
+    for state in convergents(cleared, at=at):
         depth = state.n - 1
         if state.truncated:
             v = _scaled_value(state, L)
@@ -93,7 +102,7 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
                 val = cf.head + v
                 if prev is not None:
                     last_delta = abs(val - prev)
-                    if last_delta < eps and state.q_prev != 0:
+                    if last_delta < eps and state.q_prev != 0 and not oscillates:
                         return LimitEstimate(val, last_delta, depth, LimitEstimate.ESTIMATED)
                 prev = val
                 last_val = val
@@ -102,6 +111,27 @@ def numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
         if depth >= max_depth:
             break
     return LimitEstimate(last_val, last_delta, depth_seen, LimitEstimate.INCONCLUSIVE)
+
+
+def _oscillates(cf: CFSpec) -> bool:
+    """Whether cf, with Poly a and b, has b = c a(x-1) a(x) for a constant
+    c < -1/4 and no zero of a at an integer >= 0: then its normalized form
+    K c_i/1, c_1 = b_1/a_1 and c_i = b_i/(a_{i-1} a_i), has the tail K c/1
+    from i = 2 on, which constant_cf_limit calls oscillating, so cf, a
+    Mobius image of that tail, has no limit.  The degrees are compared
+    first, so most CFs pay one compare."""
+    a, b = cf.a, cf.b
+    if not (isinstance(a, Poly) and isinstance(b, Poly)) or a.is_zero:
+        return False
+    if b.degree != 2 * a.degree:
+        return False
+    c = b.lead / a.lead**2
+    return (
+        constant_cf_limit(1, c).kind == CFLimit.OSCILLATES
+        and b == a.shift(-1) * a * c
+        and a.coeff(0) != 0
+        and not _has_integer_root_at_least(a, 1)
+    )
 
 
 def dominant_limit(t: EulerTriple) -> Fraction | None:

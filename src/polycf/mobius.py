@@ -22,8 +22,10 @@ value of the original K part is the cleared value over L, and a Poly with
 denominator 1 is read by ``algebra.eval_range`` on its numerators, in
 batches of consecutive indices with no Python call per term.
 ``CFSpec.terms``, the one place where a single term becomes an int, reads
-those batches one term at a time; ``_companion_product`` hands them to the
-tree whole (an explicit CF in one batch).
+those batches one term at a time.  ``_Steps`` is the one reader of the
+companion steps for the tree: it hands the batches on whole (an explicit CF
+in one batch), cut before a zero b and split at the depths its caller asks
+for, and counts the steps it hands on.
 ``_tree_product(leaves, tail, strip)`` is the one product kernel for step
 products (binary splitting).  Its leaves are the products of _LEAF
 consecutive steps, each multiplied out by one local loop over a batch in
@@ -49,7 +51,11 @@ the tree, their leaves and their tails:
   summand ratios p/q of its closed form, with the tail (0, 1; 0, 1), which
   gives a + b and d of (a, b; 0, d);
 * ``matforms.rederive_euler_sum``, triangular leaves of its scaled integer
-  steps, with the tail (0, 0; 0, 1), which keeps its corner and prod_g.
+  steps, with the tail (0, 0; 0, 1), which keeps its corner and prod_g;
+* ``convergents(cf, at=depths)``, the checkpoint walk behind
+  ``numeric_limit``: companion leaves of the steps between two depths, with
+  the identity tail, and one ``_mat_mul`` puts each such block onto the
+  running state.
 
 Of these, the value readers ``product_apply``, ``euler_partial_value``
 (which reads (d - s)/s) and ``rederive_euler_sum`` (homogeneous in corner
@@ -57,7 +63,8 @@ and prod_g) read only a ratio of the column, which a positive scalar leaves
 unchanged, so they ask the tree to strip: to divide its blocks by the
 common content of their entries as it goes (see _tree_product).  The raw
 readers never see a stripped product: ``_eval_pair`` prints the unreduced
-pair of plain ``eval`` byte for byte, and the stream and
+pair of plain ``eval`` byte for byte, the checkpoint walk yields the
+stream's raw states, and the per-term stream and
 ``matforms.cf_form_states`` multiply without the tree.
 
 ``_fraction(p, q)`` is the one reducer of deep integer pairs, behind
@@ -258,9 +265,24 @@ def convergents_from_terms(pairs: Iterable[tuple]) -> Iterator[ConvergentState]:
         yield ConvergentState(n, p_prev, p, q_prev, q)
 
 
-def convergents(cf: CFSpec) -> Iterator[ConvergentState]:
-    """Convergent stream of a CFSpec (head is ignored here; see cf_value)."""
-    return convergents_from_terms(cf.terms())
+def convergents(cf: CFSpec, at: list | None = None) -> Iterator[ConvergentState]:
+    """Convergent stream of a CFSpec (head is ignored here; see cf_value).
+
+    With `at`, a list of increasing depths, only the stream's states at
+    those depths (n = depth + 1), the same unreduced states, read off the
+    product tree with no Python call per term (see _checkpoint_states).  A
+    zero b yields the stream's truncated state and ends, and so does a
+    finite CF that runs out before a depth, with its last state; at most
+    max(at) terms are read.
+
+    >>> [s.n for s in convergents(CFSpec(b=[1] * 5, a=[1] * 5), at=[0, 2, 4, 8])]
+    [1, 3, 5, 6]
+    """
+    if at is None:
+        return convergents_from_terms(cf.terms())
+    if list(at) != sorted(set(at)) or any(depth < 0 for depth in at):
+        raise InvalidInput("at must list nonnegative depths in increasing order")
+    return _checkpoint_states(cf, at)
 
 
 def _cleared(cf: CFSpec) -> tuple[int, CFSpec]:
@@ -389,42 +411,81 @@ def _triangular_leaves(batches: Iterable) -> Iterator[tuple]:
             yield a, b, 0, d
 
 
-def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
-    """(m, steps, truncated): the _tree_product of the companion steps of cf
-    times `tail`, stripped with `strip`.
+class _Steps:
+    """The terms (b(i), a(i)) of cf for i = 1 .. depth as batches (bs, as)
+    of companion steps: integral Polys read by eval_range, any other CF (a
+    finite list, or a Poly with a denominator, which the library's callers
+    clear first) as one batch of its first `depth` terms.
 
-    Up to `depth` steps are multiplied, fewer when a zero b truncates the
-    CF: integral Polys are read in batches by eval_range, and any other CF,
-    which is finite, as one batch of its first `depth` terms.
+    ``take(n)`` yields the batches of the next n steps, fewer when the CF
+    runs out or a zero b comes first; the zero b ends the steps and sets
+    ``truncated``.  A batch that runs past the n-th step is split, and its
+    rest is held for the next take.  ``steps`` counts the steps yielded.
     """
+
+    def __init__(self, cf: CFSpec, depth: int):
+        descs = _integral_descs(cf)
+        if descs is not None:
+            self._source = zip(*(eval_range(desc, 1, depth + 1) for desc in descs))
+        else:
+            terms = list(itertools.islice(cf.terms(), depth))
+            self._source = iter([([b for b, _ in terms], [a for _, a in terms])])
+        self._held = None
+        self.steps = 0
+        self.truncated = False
+
+    def take(self, n: int) -> Iterator[tuple]:
+        while n > 0 and not self.truncated:
+            bs, as_ = self._held or next(self._source, ((), ()))
+            if not bs:
+                return
+            k = min(n, len(bs))
+            if 0 in bs[:k]:
+                k, self.truncated = bs.index(0), True
+            self._held = (bs[k:], as_[k:]) if k < len(bs) else None
+            self.steps += k
+            n -= k
+            yield bs[:k], as_[:k]
+
+
+def _companion_product(cf: CFSpec, depth: int, tail: tuple, strip: bool) -> tuple:
+    """(m, steps, truncated): the _tree_product of the first `depth`
+    companion steps of cf (fewer when a zero b truncates the CF) times
+    `tail`, stripped with `strip`."""
     if depth < 0:
         raise InvalidInput("depth must be nonnegative")
-    descs = _integral_descs(cf)
-    if descs is not None:
-        source = zip(*(eval_range(desc, 1, depth + 1) for desc in descs))
-    else:
-        terms = list(itertools.islice(cf.terms(), depth))
-        source = [([b for b, _ in terms], [a for _, a in terms])]
-    steps = 0
-    truncated = False
-
-    def batches():
-        nonlocal steps, truncated
-        for bs, as_ in source:
-            if 0 in bs:
-                k = bs.index(0)
-                bs, as_, truncated = bs[:k], as_[:k], True
-            steps += len(bs)
-            yield bs, as_
-            if truncated:
-                return
-
-    m = _tree_product(_companion_leaves(batches()), tail, strip)
-    if steps < depth and not truncated:
+    reader = _Steps(cf, depth)
+    m = _tree_product(_companion_leaves(reader.take(depth)), tail, strip)
+    if reader.steps < depth and not reader.truncated:
         raise InvalidInput(
-            f"coefficient sequence exhausted after {steps} terms, needed {depth}"
+            f"coefficient sequence exhausted after {reader.steps} terms, needed {depth}"
         )
-    return m, steps, truncated
+    return m, reader.steps, reader.truncated
+
+
+def _checkpoint_states(cf: CFSpec, at: list) -> Iterator[ConvergentState]:
+    """The states of convergents(cf) at the depths `at`: the steps between
+    two depths are one block, an unstripped _tree_product, and one _mat_mul
+    puts it onto the running state, so the cost is the blocks' big-integer
+    products (binary splitting, Haible & Papanikolaou, ANTS 1998)."""
+    reader = _Steps(cf, max(at, default=0))
+    state, last = _IDENTITY, -1
+    for depth in at:
+        block = _tree_product(
+            _companion_leaves(reader.take(depth - reader.steps)), _IDENTITY, strip=False
+        )
+        state = _mat_mul(state, block)
+        if reader.truncated:
+            # the zero b is term steps + 1, and the stream's truncated state
+            # follows state steps + 1
+            yield ConvergentState(reader.steps + 2, *state, truncated=True)
+            return
+        if reader.steps < depth:
+            if reader.steps > last:
+                yield ConvergentState(reader.steps + 1, *state)
+            return
+        yield ConvergentState(depth + 1, *state)
+        last = depth
 
 
 # Exact division beats // once the divisor has this many bits and at least

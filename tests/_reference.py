@@ -18,9 +18,12 @@ convergent kernel and for the convergent stream: they walk the plain
 three-term recurrence, written out in reference_states, over the terms of the
 CF as given (Fraction arithmetic for rational coefficients), where polycf
 steps its own companion step, clears denominators and multiplies in a
-product tree.  reference_apply, the Mobius action of a state's matrix, is
-the oracle for product_apply, which reads the action off the cleared
-integer product.  reference_eval_pair brings
+product tree.  reference_numeric_limit's rule for a CF with no limit,
+reference_oscillates, compares the normalized terms c_i in Fractions at
+enough indices and finds the roots of a by trial divisors, where polycf
+compares b with c a(x-1) a(x) as polynomials.  reference_apply, the Mobius
+action of a state's matrix, is the oracle for product_apply, which reads
+the action off the cleared integer product.  reference_eval_pair brings
 the stream's Fractions to the integer pair the CLI prints with an lcm, where
 polycf reads it off the cleared integer state.  In the same way
 reference_euler_partial_value sums the closed form term by term, and
@@ -324,14 +327,32 @@ def reference_cf_value(cf: CFSpec, depth: int):
     return INF if is_inf(v) else cf.head + v
 
 
+def reference_oscillates(cf: CFSpec) -> bool:
+    """Whether cf, with Poly a and b, normalizes to K c_i/1 with one constant
+    c_i = b(i)/(a(i-1) a(i)) = c < -1/4 for all i >= 2, and a has no root
+    at an integer >= 0 (so every c_i is defined).  b(i) - c a(i-1) a(i) has
+    degree at most m = max(deg b, 2 deg a), so its vanishing at the m + 2
+    indices 2 .. m + 3 compared here makes the c_i constant for all i."""
+    a, b = cf.a, cf.b
+    if not (isinstance(a, Poly) and isinstance(b, Poly)) or a.is_zero or b.is_zero:
+        return False
+    roots, _ = reference_rational_roots(a)
+    if any(r.denominator == 1 and r >= 0 for r in roots):
+        return False
+    m = max(b.degree, 2 * a.degree)
+    cs = {b(Fraction(i)) / (a(Fraction(i - 1)) * a(Fraction(i))) for i in range(2, m + 4)}
+    return len(cs) == 1 and 4 * cs.pop() < -1
+
+
 def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitEstimate:
     """numeric_limit on the stream of cf as given: checkpoints at depths 8,
     16, 32, ..., stop when two successive finite checkpoints differ by less
-    than eps and the previous convergent is finite (q_prev != 0); a
-    truncated CF is exact with delta 0."""
+    than eps and the previous convergent is finite (q_prev != 0), unless
+    reference_oscillates(cf); a truncated CF is exact with delta 0."""
     eps = rat(eps)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
+    oscillates = reference_oscillates(cf)
     checkpoint = 8
     prev = None
     last_val = None
@@ -349,7 +370,7 @@ def reference_numeric_limit(cf: CFSpec, eps, max_depth: int = 1 << 16) -> LimitE
                 val = cf.head + v
                 if prev is not None:
                     last_delta = abs(val - prev)
-                    if last_delta < eps and state.q_prev != 0:
+                    if last_delta < eps and state.q_prev != 0 and not oscillates:
                         return LimitEstimate(val, last_delta, depth, LimitEstimate.ESTIMATED)
                 prev = val
                 last_val = val

@@ -85,6 +85,7 @@ CASES = [
     ["limit", "--a", "n+1/3", "--b", "-n^2-1/4", "--eps", "1e-6", "--max-depth", "1024"],
     ["limit", "--a", "0", "--b", "n", "--max-depth", "16", "--closed-form"],
     ["limit", "--a", "0", "--b", "n", "--eps", "1/10", "--max-depth", "64"],
+    ["limit", "--a", "n+1/2", "--b", "-n^2+1/4", "--eps", "1/10", "--max-depth", "64"],
     ["limit", "--a", "n", "--b", "0", "--closed-form"],
     ["convert", "--matrix", "n,1,0,n"],
     ["triangularize", "--h1", "n+1", "--h2", "n-3", "--depth", "5"],

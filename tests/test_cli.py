@@ -1,8 +1,10 @@
 """End-to-end checks of the command line interface.
 
-Every test here shells out to ``python -m polycf`` so the argv
-normalization, parsing, formatting, and exit-code paths are exercised
-exactly as a user would hit them.
+The tests run polycf.cli.main in process (run_cli, through the golden
+transcript's run_argv), which covers the argv normalization, parsing,
+formatting and exit-code paths.  Three calls also start a real
+``python -m polycf`` (run_process): the entry point's exit codes 0, 1 and
+2, and an output that must not depend on the process's hash seed.
 """
 
 import io
@@ -15,6 +17,7 @@ import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +27,13 @@ from polycf import CFSpec, Poly, cf_value, parse_poly
 from polycf.cli import _normalize_argv, decimal_pair, decimal_string, main
 
 from _reference import decimal_prefix, e_ref, reference_state_at
+from cli_transcript import run_argv
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args):
+def run_process(*args):
     # the subprocess imports polycf from this checkout, installed or not
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -39,6 +43,27 @@ def run_cli(*args):
         text=True,
         timeout=120,
     )
+
+
+def run_cli(*args):
+    """The exit code, stdout and stderr of main(args), as run_process
+    names them."""
+    r = run_argv(args)
+    return SimpleNamespace(returncode=r["code"], stdout=r["stdout"], stderr=r["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangularize", "--h1", "0", "--h2", "n", "--depth", "3"],
+        ["eval", "--a", "y+1", "--b", "1", "--depth", "1"],
+    ],
+    ids=["domain-error", "usage-error"],
+)
+def test_the_entry_point_exits_as_main_returns(argv):
+    r, want = run_process(*argv), run_cli(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (want.returncode, want.stdout, want.stderr)
+    assert r.returncode in (1, 2)
 
 
 def test_eval_unit_depth_one():
@@ -144,9 +169,11 @@ def test_identify_finds_quadratic_f():
 
 
 def test_identify_output_is_deterministic():
+    # a second process has another hash seed, so set order cannot leak out
     argv = ("identify", "--a", "34n^3+51n^2+27n+5", "--b=-n^6")
-    first = run_cli(*argv)
+    first = run_process(*argv)
     second = run_cli(*argv)
+    assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
 
@@ -594,6 +621,15 @@ def test_limit_of_a_cf_without_a_limit_is_inconclusive():
     assert r.returncode == 0
     assert r.stderr == ""
     assert r.stdout.splitlines() == ["estimate: 0", "delta: 0", "depth: 64", "verdict: inconclusive"]
+
+
+def test_limit_of_a_cf_whose_normalized_tail_oscillates_is_inconclusive():
+    # b = -a(n-1) a(n): the normalized tail is K -1/1, whose convergents
+    # repeat with period 3; the checkpoints 16 and 64 read the same -1/2
+    r = run_cli("limit", "--a", "n+1/2", "--b", "-n^2+1/4", "--eps", "1/10", "--max-depth", "64")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines() == ["estimate: -1/2", "delta: 0", "depth: 64", "verdict: inconclusive"]
 
 
 def test_limit_closed_form_with_zero_b_is_finite():

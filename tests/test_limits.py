@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycf.limits
+import polycf.mobius
 from polycf.algebra import rational_roots
 
 from polycf import (
@@ -44,6 +45,7 @@ from polycf import (
 from _reference import (
     e_ref,
     outcome,
+    python_calls,
     reference_numeric_limit,
     reference_zeta_sum,
     zeta_ref,
@@ -156,13 +158,14 @@ def test_numeric_limit_pole_checkpoints_match_stream_walk():
 
 
 def test_numeric_limit_walks_integer_states(monkeypatch):
-    # rational coefficients are cleared before the walk: every state the
-    # stream yields holds plain ints, and the estimate is unchanged
+    # rational coefficients are cleared before the walk: the stream yields
+    # only the checkpoint states, each holds plain ints, and the estimate
+    # is unchanged
     seen = []
     stream = polycf.limits.convergents
 
-    def recording(cf):
-        for state in stream(cf):
+    def recording(*args, **kwargs):
+        for state in stream(*args, **kwargs):
             seen.append(state)
             yield state
 
@@ -170,9 +173,75 @@ def test_numeric_limit_walks_integer_states(monkeypatch):
     t = trivial_triple(X, X + Fraction(1, 2))
     cf = CFSpec(b=t.b, a=t.a)
     got = numeric_limit(cf, Fraction(1, 1000), max_depth=256)
-    assert len(seen) > 8
+    assert [s.n - 1 for s in seen] == [8, 16, 32, 64, 128, 256]
     assert all(type(s.p) is int and type(s.q) is int for s in seen)
     assert got == reference_numeric_limit(cf, Fraction(1, 1000), max_depth=256)
+
+
+def test_numeric_limit_makes_no_python_call_per_term():
+    # the steps between two checkpoints are one block of the product tree
+    t = trivial_triple(X, X + Fraction(1, 4))
+    run = lambda: numeric_limit(CFSpec(b=t.b, a=t.a), Fraction(1, 1000), 4096)
+    run()
+    assert python_calls(run) <= 4096 // 2
+
+
+def test_numeric_limit_never_walks_the_per_term_stream(monkeypatch):
+    def per_term(pairs):
+        raise AssertionError("numeric_limit walked the per-term stream")
+
+    monkeypatch.setattr(polycf.mobius, "convergents_from_terms", per_term)
+    t = trivial_triple(X, X + Fraction(1, 2))
+    for cf in (CFSpec(b=t.b, a=t.a), CFSpec(b=[2, 3, 0, 5], a=[4, 1, 1, 1]), CFSpec(b=[1] * 40, a=[1] * 40)):
+        assert numeric_limit(cf, Fraction(1, 1000), 256) == reference_numeric_limit(cf, Fraction(1, 1000), 256)
+
+
+@pytest.mark.parametrize("max_depth", [0, 7, 8, 9, 64, 256, 257])
+def test_numeric_limit_at_and_between_checkpoints(max_depth):
+    # a max_depth that is itself a checkpoint is read once, as a checkpoint
+    for cf in (CFSpec(b=ONE, a=ONE), CFSpec(b=X, a=X + Fraction(1, 3)), CFSpec(b=-X * X, a=2 * X + 1)):
+        for eps in (Fraction(1, 10), Fraction(1, 10**40)):
+            assert numeric_limit(cf, eps, max_depth) == reference_numeric_limit(cf, eps, max_depth)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # K -1/1 up to an equivalence transform: period 3
+        (X + Fraction(1, 2), -X * X + Fraction(1, 4)),
+        (ONE, -ONE),
+        # c = -1/3: 1 + 4c < 0, the tail K c/1 has no period at all
+        (X + 2, -(X + 1) * (X + 2) / 3),
+        (X * X + 1, -2 * (X * X + 1) * (X * X - 2 * X + 2)),
+    ],
+)
+def test_numeric_limit_never_estimates_a_cf_whose_normalized_tail_oscillates(a, b):
+    # b = c a(x-1) a(x) with 1 + 4c < 0: the normalized tail is K c/1
+    cf = CFSpec(b=b, a=a)
+    for eps, max_depth in ((Fraction(1, 10), 64), (Fraction(1, 10**6), 1024)):
+        est = numeric_limit(cf, eps, max_depth)
+        assert (est.verdict, est.depth_used) == (LimitEstimate.INCONCLUSIVE, max_depth)
+        assert est == reference_numeric_limit(cf, eps, max_depth)
+
+
+@pytest.mark.parametrize(
+    "a, b, verdict",
+    [
+        # c = -1/4: the tail K c/1 converges
+        (X + 1, -(X * (X + 1)) / 4, LimitEstimate.ESTIMATED),
+        # a(3) = 0: b(3) = 0 truncates the CF, whose value is exact
+        (X - 3, -(X - 4) * (X - 3), LimitEstimate.ESTIMATED),
+        # a(0) = 0: b(1) = 0, the CF is 0
+        (X, -(X - 1) * X, LimitEstimate.ESTIMATED),
+        # b is not c a(x-1) a(x)
+        (2 * X + 1, -X * X, LimitEstimate.ESTIMATED),
+    ],
+)
+def test_the_oscillation_rule_leaves_other_cfs_alone(a, b, verdict):
+    cf = CFSpec(b=b, a=a)
+    est = numeric_limit(cf, Fraction(1, 10), 4096)
+    assert est.verdict == verdict
+    assert est == reference_numeric_limit(cf, Fraction(1, 10), 4096)
 
 
 # ---------------------------------------------------------------------------

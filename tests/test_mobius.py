@@ -31,7 +31,7 @@ from polycf import (
     INF,
 )
 from polycf import mobius
-from polycf.algebra import _BATCH
+from polycf.algebra import _BATCH, eval_range
 from polycf.mobius import (
     _EXACT_DIV_BITS,
     _IDENTITY,
@@ -57,7 +57,7 @@ from _reference import (
     reference_rederive_euler_sum,
     reference_state_at,
 )
-from _strategies import euler_triples, poly_cfs
+from _strategies import euler_triples, poly_cfs, small_fractions
 
 
 # --- worked oracle: 4/11 = 1/(2 + 1/(1 + 1/3)) ---
@@ -565,6 +565,72 @@ def test_an_explicit_sequence_runs_out_across_a_batch(length):
     for depth in (length + 1, length + _BATCH):
         want = f"coefficient sequence exhausted after {length} terms, needed {depth}"
         assert outcome(cf_value, cf, depth) == outcome(reference_cf_value, cf, depth) == (InvalidInput, want)
+
+
+# --- the checkpoint walk: convergents(cf, at=depths) ---
+
+
+def _stream_at(cf, at):
+    """The per-term stream's states at the depths `at`, then its last state
+    (the truncated one, or the last of a finite CF that runs out) when it
+    ends before max(at); the stream is read to depth max(at)."""
+    states = list(itertools.islice(convergents(cf), max(at) + 1))
+    return [s for s in states[:-1] if s.n - 1 in at] + states[-1:]
+
+
+_term_lists = st.lists(st.tuples(small_fractions, small_fractions), max_size=300).map(
+    lambda terms: CFSpec(b=[b for b, _ in terms], a=[a for _, a in terms])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(poly_cfs(), poly_cfs().map(lambda cf: _cleared(cf)[1]), _term_lists),
+    st.lists(st.integers(0, 600), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_checkpoint_walk_yields_the_streams_states(cf, at):
+    # a Fraction CF is one batch of terms, a cleared one eval_range batches
+    # that the depths split; a zero b or the end of a list can fall in any
+    # block, and the depths run from 0 across leaf and batch edges
+    assert list(convergents(cf, at=at)) == _stream_at(cf, at)
+
+
+@pytest.mark.parametrize("at", [[0], [8, 16], [64, 128, 256], [255, 256, 257, 512], [1, 300]])
+@pytest.mark.parametrize("zero", [1, 8, 9, 64, 65, 256, 257, 300, None])
+def test_checkpoint_walk_stops_at_a_zero_b_inside_or_on_the_edge_of_a_block(zero, at):
+    b = X + 3 if zero is None else X - zero
+    for cf in (CFSpec(b=b, a=X + 1), CFSpec(b=[b(i) for i in range(1, 301)], a=list(range(2, 302)))):
+        got = list(convergents(cf, at=at))
+        assert got == _stream_at(cf, at)
+        assert got[-1].truncated == (zero is not None and zero <= max(at) and zero <= 300)
+
+
+def test_checkpoint_walk_on_a_list_shorter_than_the_last_depth():
+    cf = CFSpec(b=[1] * 5, a=[1] * 5)
+    assert [s.n for s in convergents(cf, at=[0, 2, 4, 8])] == [1, 3, 5, 6]
+    assert [s.n for s in convergents(cf, at=[5, 8])] == [6]
+    assert [s.n for s in convergents(cf, at=[8, 16])] == [6]
+    assert [s.n for s in convergents(CFSpec(b=[], a=[]), at=[0, 8])] == [1]
+    assert list(convergents(cf, at=[])) == []
+    for at in ([-1, 8], [8, 4], [8, 8]):
+        with pytest.raises(InvalidInput, match="at must list nonnegative depths in increasing order"):
+            convergents(cf, at=at)
+
+
+def test_checkpoint_walk_reads_no_term_past_the_last_depth(monkeypatch):
+    # a term past max(at) that cannot be read is never read, and eval_range
+    # is asked for max(at) values
+    cf = CFSpec(b=[1] * 8 + ["unreadable"], a=[1] * 9)
+    assert [s.n for s in convergents(cf, at=[4, 8])] == [5, 9]
+    stops = []
+
+    def recording(desc, start, stop=None):
+        stops.append(stop)
+        return eval_range(desc, start, stop)
+
+    monkeypatch.setattr(mobius, "eval_range", recording)
+    assert [s.n for s in convergents(CFSpec(b=X, a=X + 1), at=[8, 65])] == [9, 66]
+    assert stops == [66, 66]
 
 
 def test_deep_routes_make_no_python_call_per_term():
